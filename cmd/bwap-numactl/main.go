@@ -38,6 +38,10 @@ func main() {
 	dwp := flag.Float64("dwp", 0, "data-to-worker proximity in percent, for -bw-interleave")
 	userLevel := flag.Bool("user-level", true, "enforce -bw-interleave via Algorithm 1 (false: kernel weighted interleave)")
 	flag.Parse()
+	if *sizeMB < 1 {
+		fmt.Fprintf(os.Stderr, "bwap-numactl: -size %d: segment size must be at least 1 MiB\n", *sizeMB)
+		os.Exit(2)
+	}
 
 	var m *topology.Machine
 	switch strings.ToUpper(*machine) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"bwap/internal/mm"
 	"bwap/internal/numaapi"
@@ -29,12 +30,18 @@ func UserLevelWeightedInterleave(seg *mm.Segment, weights []float64, flags mm.Fl
 		return fmt.Errorf("core: %d weights for %d nodes", len(weights), seg.NumNodes())
 	}
 	for i, w := range weights {
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return fmt.Errorf("core: non-finite weight %v for node %d", w, i)
+		}
 		if w < 0 {
 			return fmt.Errorf("core: negative weight %f for node %d", w, i)
 		}
 	}
-	if stats.Sum(weights) <= 0 {
+	switch sum := stats.Sum(weights); {
+	case sum <= 0:
 		return fmt.Errorf("core: weights sum to zero")
+	case math.IsInf(sum, 1):
+		return fmt.Errorf("core: weights sum overflows")
 	}
 	// Stack scratch for the normalized weights and the sorted node order:
 	// this runs once per placement and re-placement, and a 64-entry buffer

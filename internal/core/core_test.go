@@ -89,17 +89,21 @@ func TestDWPWeightsPropertyMonotoneWorkerShare(t *testing.T) {
 
 func TestDWPWeightsErrors(t *testing.T) {
 	canonical := []float64{0.5, 0.5}
-	if _, err := DWPWeights(canonical, []topology.NodeID{0}, -0.5); err == nil {
-		t.Fatal("negative DWP accepted")
-	}
-	if _, err := DWPWeights(canonical, []topology.NodeID{0}, 1.5); err == nil {
-		t.Fatal("DWP > 1 accepted")
-	}
-	if _, err := DWPWeights(canonical, []topology.NodeID{7}, 0.5); err == nil {
-		t.Fatal("out-of-range worker accepted")
-	}
-	if _, err := DWPWeights([]float64{0, 1}, []topology.NodeID{0}, 0.5); err == nil {
-		t.Fatal("zero worker mass accepted")
+	for _, c := range []struct {
+		name      string
+		canonical []float64
+		worker    topology.NodeID
+		dwp       float64
+	}{
+		{"negative DWP", canonical, 0, -0.5},
+		{"DWP > 1", canonical, 0, 1.5},
+		{"NaN DWP", canonical, 0, math.NaN()},
+		{"out-of-range worker", canonical, 7, 0.5},
+		{"zero worker mass", []float64{0, 1}, 0, 0.5},
+	} {
+		if w, err := DWPWeights(c.canonical, []topology.NodeID{c.worker}, c.dwp); err == nil {
+			t.Errorf("%s accepted: %v", c.name, w)
+		}
 	}
 }
 
@@ -221,14 +225,23 @@ func TestAlgorithm1NarrowingMigratesIncrementally(t *testing.T) {
 func TestAlgorithm1Errors(t *testing.T) {
 	as := mm.NewAddressSpace(2)
 	seg := as.AddSegment("d", mm.PageSize*16, mm.SharedOwner)
-	if err := UserLevelWeightedInterleave(seg, []float64{1}, 0); err == nil {
-		t.Fatal("wrong length accepted")
+	for _, c := range []struct {
+		name    string
+		weights []float64
+	}{
+		{"wrong length", []float64{1}},
+		{"negative weight", []float64{-1, 2}},
+		{"zero weights", []float64{0, 0}},
+		{"NaN weight", []float64{math.NaN(), 1}},
+		{"+Inf weight", []float64{1, math.Inf(1)}},
+		{"overflowing sum", []float64{math.MaxFloat64, math.MaxFloat64}},
+	} {
+		if err := UserLevelWeightedInterleave(seg, c.weights, 0); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
-	if err := UserLevelWeightedInterleave(seg, []float64{-1, 2}, 0); err == nil {
-		t.Fatal("negative weight accepted")
-	}
-	if err := UserLevelWeightedInterleave(seg, []float64{0, 0}, 0); err == nil {
-		t.Fatal("zero weights accepted")
+	if seg.MappedPages() != 0 {
+		t.Fatalf("rejected calls mapped %d pages", seg.MappedPages())
 	}
 }
 

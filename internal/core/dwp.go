@@ -17,7 +17,7 @@ import (
 // set and within the non-worker set are preserved (Observation 3). δ=0 is
 // the canonical distribution; δ=1 maps every page onto the worker set.
 func DWPWeights(canonical []float64, workers []topology.NodeID, dwp float64) ([]float64, error) {
-	if dwp < -1e-9 || dwp > 1+1e-9 {
+	if !(dwp >= -1e-9 && dwp <= 1+1e-9) { // NaN fails both comparisons
 		return nil, fmt.Errorf("core: DWP %v out of [0,1]", dwp)
 	}
 	dwp = stats.Clamp(dwp, 0, 1)

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"strings"
 	"testing"
@@ -28,12 +30,26 @@ func TestFig1aReproducesPaperMatrix(t *testing.T) {
 
 // TestFig1bShape: the Section II claims — the offline search beats every
 // baseline; first-touch is the worst of the three for multi-worker runs.
+// checkFrozen pins rendered experiment output to a recorded SHA-256, so a
+// change to the placement machinery underneath (the weighted walk, the
+// experiment pool) that moves any printed digit fails loudly.
+func checkFrozen(t *testing.T, name, out, want string) {
+	t.Helper()
+	sum := sha256.Sum256([]byte(out))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("%s output drifted:\n got %s\nwant %s\n%s", name, got, want, out)
+	}
+}
+
 func TestFig1bShape(t *testing.T) {
 	p := MachineA().Quick()
 	f, err := RunFig1b(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Recorded under the per-page walk from page 0 that the checkpointed walk
+	// replaced.
+	checkFrozen(t, "quick Fig 1b", f.Render(), "f1376170dc92f7ecd60df77d584c902f6aebf7b9347bfe403f08561ae81c949b")
 	if len(f.Rows) != 5 {
 		t.Fatalf("%d rows", len(f.Rows))
 	}
@@ -282,6 +298,9 @@ func TestKernelVsUserAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Recorded under the per-page walk from page 0 that the checkpointed walk
+	// replaced.
+	checkFrozen(t, "quick kernel-vs-user ablation", a.Render(), "f67b43b60f2175b6524168d9bbb70d87bc9014e242cce074b1ff1d6660764e53")
 	if gap := a.MaxAbsGapPct(); gap > 3 {
 		t.Errorf("kernel-vs-user gap %.2f%%, want <= 3%%", gap)
 	}

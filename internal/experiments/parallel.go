@@ -3,16 +3,22 @@ package experiments
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // The experiment grid is embarrassingly parallel: every cell (benchmark ×
 // policy × worker count × seed) is an independent simulation whose engine,
 // address spaces and solver are private to the run. The harness fans cells
-// out over one bounded, process-wide worker pool shared by every fan-out
-// level (figure rows, policy columns, seed replicas, sweep points). A task
-// that cannot get a pool slot runs inline on the caller's goroutine, so
-// nested fan-outs can never deadlock and total concurrency stays bounded
-// no matter how the levels compose.
+// out over one bounded, process-wide pool of helper slots shared by every
+// fan-out level (figure rows, policy columns, seed replicas, sweep points).
+// A fan-out is work-pulling: its caller and every helper it recruits take
+// the next index from a shared counter until none remain, and at each task
+// boundary a runner recruits a helper into any free slot while tasks remain
+// unclaimed. Nobody ever waits for a slot — a fan-out whose slots are all
+// taken simply runs on its caller — so nested fan-outs can never deadlock,
+// a slot freed mid-run is picked up at the next task boundary of any
+// fan-out, and total concurrency stays at most the pool size plus the one
+// top-level caller no matter how the levels compose.
 //
 // Results are always written to caller-owned, index-addressed slots and
 // aggregated in input order afterwards, so the output of a parallel run is
@@ -37,9 +43,9 @@ func SetMaxParallel(n int) {
 	poolMu.Unlock()
 }
 
-// parallelFor runs fn(0) … fn(n-1), using pool slots when available and
-// the caller's goroutine otherwise, and waits for all of them. It returns
-// the error of the lowest failing index, so error reporting is as
+// parallelFor runs fn(0) … fn(n-1) on the caller's goroutine and on any
+// pool helpers it can recruit, and waits for all of them. It returns the
+// error of the lowest failing index, so error reporting is as
 // deterministic as the results.
 func parallelFor(n int, fn func(i int) error) error {
 	if n == 1 {
@@ -49,20 +55,33 @@ func parallelFor(n int, fn func(i int) error) error {
 	sem := poolSem
 	poolMu.Unlock()
 	errs := make([]error, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		select {
-		case sem <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				errs[i] = fn(i)
-			}(i)
-		default:
+	var run func()
+	run = func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			if next.Load() < int64(n) {
+				// Tasks remain past this one: recruit a helper if a slot is
+				// free, without waiting for one.
+				select {
+				case sem <- struct{}{}:
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						defer func() { <-sem }()
+						run()
+					}()
+				default:
+				}
+			}
 			errs[i] = fn(i)
 		}
 	}
+	run()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

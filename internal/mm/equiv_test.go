@@ -168,7 +168,23 @@ func checkEquiv(t *testing.T, step string, s *Segment, ref *refSegment) {
 			t.Fatalf("%s: fraction[%d] = %v, ref %v", step, n, fr[n], want)
 		}
 	}
+	// Every page through the run cursors, which is linear in the segment;
+	// through Node(), a point query that seeks the walk, on every page of
+	// small segments and on run starts, checkpoint neighbours and a sample
+	// of the rest in large ones.
+	j := 0
+	c := s.runs[0].pat.cursorAt(0)
 	for p := range ref.pages {
+		if j+1 < len(s.runs) && s.runs[j+1].start == p {
+			j++
+			c = s.runs[j].pat.cursorAt(p)
+		}
+		if got := c.next(); got != ref.pages[p] {
+			t.Fatalf("%s: cursor: page %d on node %d, ref %d", step, p, got, ref.pages[p])
+		}
+		if off := (p + 1) % walkStride; len(ref.pages) > 1024 && off > 2 && p%101 != 0 && p != s.runs[j].start {
+			continue
+		}
 		if got := s.Node(p); got != ref.pages[p] {
 			t.Fatalf("%s: page %d on node %d, ref %d", step, p, got, ref.pages[p])
 		}
@@ -178,11 +194,17 @@ func checkEquiv(t *testing.T, step string, s *Segment, ref *refSegment) {
 // TestIntervalMatchesPerPageReference drives randomized operation
 // sequences through both implementations and demands byte-identical node
 // assignments, counts, fractions and migration volume after every step.
+// The last trials span three walk checkpoints and a partial stride, so
+// weighted runs split past a checkpoint are counted, compared and walked
+// from checkpoints other than page 0.
 func TestIntervalMatchesPerPageReference(t *testing.T) {
 	const numNodes = 4
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 66; trial++ {
 		pageCount := 1 + rng.Intn(600)
+		if trial >= 60 {
+			pageCount = 3*walkStride + 17
+		}
 		as := NewAddressSpace(numNodes)
 		s := as.AddSegment("d", uint64(pageCount)*PageSize, SharedOwner)
 		ref := newRefSegment(numNodes, pageCount)
@@ -380,4 +402,43 @@ func TestRunCompressionStaysBounded(t *testing.T) {
 	if s.MappedPages() != s.PageCount() {
 		t.Fatal("pages lost")
 	}
+}
+
+// TestWeightedWalkSharedAcrossSegments pins the walk reuse behind an app's
+// placement: segments bound to equal weights share one walk, extended past
+// the checkpoint storage preallocated for the first (smaller) one, and
+// each still matches the per-page reference; different weights get a walk
+// of their own.
+func TestWeightedWalkSharedAcrossSegments(t *testing.T) {
+	const numNodes = 4
+	w := []float64{3, 0, 2, 1}
+	as := NewAddressSpace(numNodes)
+	sizes := []int{walkStride/2 + 3, 2*walkStride + 5, walkStride + 1}
+	var segs []*Segment
+	for i, pages := range sizes {
+		s := as.AddSegment(string(rune('a'+i)), uint64(pages)*PageSize, SharedOwner)
+		if err := s.MbindWeighted(w, MoveFlag); err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefSegment(numNodes, pages)
+		ref.mbindWeighted(w, MoveFlag)
+		checkEquiv(t, s.Name(), s, ref)
+		segs = append(segs, s)
+	}
+	shared := segs[0].runs[0].pat.walk
+	for _, s := range segs[1:] {
+		if s.runs[0].pat.walk != shared {
+			t.Fatalf("segment %s took a walk of its own for equal weights", s.Name())
+		}
+	}
+	if err := segs[1].MbindWeighted([]float64{1, 1, 1, 1}, MoveFlag); err != nil {
+		t.Fatal(err)
+	}
+	if segs[1].runs[0].pat.walk == shared {
+		t.Fatal("different weights reused the walk")
+	}
+	ref := newRefSegment(numNodes, sizes[1])
+	ref.mbindWeighted(w, MoveFlag)
+	ref.mbindWeighted([]float64{1, 1, 1, 1}, MoveFlag)
+	checkEquiv(t, "re-bound", segs[1], ref)
 }

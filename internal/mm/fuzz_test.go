@@ -42,13 +42,23 @@ func FuzzSegmentEquivalence(f *testing.F) {
 		3, 0, 6, 0, 2, 1, 1, 0, // weighted with zero weights in the vector
 		5, 1, 1, 1, 3, 255, 0, 0, // migrate, tiny budget
 	})
+	f.Add([]byte{
+		43, 33, // 8492 pages: two walk checkpoints and a partial stride
+		3, 3, 2, 0, 1, 0, 0, 0, // weighted interleave
+		2, 5, 4, 16, 193, 1, 1, 0, // move-bind pages 4100..4399, splitting the weighted run past a checkpoint
+		3, 1, 1, 4, 2, 0, 1, 0, // weighted → weighted re-bind with move
+		3, 1, 1, 4, 2, 0, 1, 0, // the same weights again: the walk is reused
+		5, 9, 200, 30, 64, 0, 0, 0, // migrate 64 pages out of the weighted runs
+		4, 0, 0, 0, 0, 0, 0, 0, // drain
+	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const numNodes = 4
 		if len(data) < 2 {
 			return
 		}
-		pageCount := 1 + (int(data[0])|int(data[1])<<8)%600
+		// Up to 2·walkStride+600 pages, so runs cross walk checkpoints.
+		pageCount := 1 + (int(data[0])|int(data[1])<<8)%(2*walkStride+600)
 		data = data[2:]
 
 		as := NewAddressSpace(numNodes)

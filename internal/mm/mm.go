@@ -16,9 +16,13 @@
 // incrementally, and Fractions() is a cached view recomputed only after a
 // placement change. Placement patterns are either an explicit node sequence
 // applied cyclically from an origin page (faults, binds and uniform
-// interleaves) or a weighted Bresenham assignment anchored at page 0 (the
+// interleaves) or a weighted Bresenham walk anchored at page 0 (the
 // kernel-level weighted interleave); both reproduce, page for page, the
-// assignment a per-page implementation of the same calls would produce.
+// assignment a per-page implementation of the same calls would produce. An
+// address space takes one walk per weight vector, lazily and checkpointed
+// every walkStride pages, and shares it between the patterns of all its
+// segments bound to those weights, so counting or querying any page range
+// costs at most a stride of steps past the walk already taken.
 //
 // An AddressSpace is not safe for concurrent use; the simulation engine
 // drives each address space from a single goroutine.
@@ -26,6 +30,7 @@ package mm
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -69,13 +74,14 @@ const (
 )
 
 // pattern is a placement rule for a page interval. Patterns are value
-// types; their slices are immutable once built and may be shared between
-// runs (splits keep the slice, only the covered interval changes).
+// types; their seq slices are immutable once built and may be shared
+// between runs (splits keep the slice, only the covered interval changes),
+// and a weighted pattern points at its address space's shared walk.
 type pattern struct {
-	kind    patternKind
-	origin  int
-	seq     []topology.NodeID
-	weights []float64 // normalized
+	kind   patternKind
+	origin int
+	seq    []topology.NodeID
+	walk   *walk // patWeighted only
 }
 
 func (p pattern) mapped() bool { return p.kind != patUnmapped }
@@ -93,7 +99,7 @@ func (p pattern) sameFunc(q pattern) bool {
 		k := len(p.seq)
 		return len(q.seq) == k && (p.origin-q.origin)%k == 0 && slices.Equal(p.seq, q.seq)
 	default:
-		return slices.Equal(p.weights, q.weights)
+		return p.walk == q.walk || slices.Equal(p.walk.weights, q.walk.weights)
 	}
 }
 
@@ -107,28 +113,18 @@ func (p pattern) seqIndex(page int) int {
 	return i
 }
 
-// nodeAt returns the node the pattern assigns to page. Weighted patterns
-// replay the Bresenham walk from page 0, so this is O(page) for them; it is
-// only used by point queries (tests, tools) and the slow migration path.
+// nodeAt returns the node the pattern assigns to page. A weighted pattern
+// seeks its walk to page, so a point query costs at most walkStride steps
+// beyond extending the walk to the checkpoint at or below page.
 func (p pattern) nodeAt(page int) topology.NodeID {
-	switch p.kind {
-	case patUnmapped:
-		return Unmapped
-	case patSeq:
-		return p.seq[p.seqIndex(page)]
-	default:
-		it := newBresIter(p.weights)
-		var n topology.NodeID
-		for i := 0; i <= page; i++ {
-			n = it.next()
-		}
-		return n
-	}
+	c := p.cursorAt(page)
+	return c.next()
 }
 
 // countInto adds sign× the pattern's per-node page counts over [lo,hi)
 // into counts. Seq patterns are counted in O(len(seq)); weighted patterns
-// replay the Bresenham walk (placement-time only).
+// as the difference of two walk prefixes, prefix(hi) − prefix(lo), each a
+// seek of at most walkStride steps past a checkpoint.
 func (p pattern) countInto(lo, hi int, counts []int64, sign int64) {
 	if lo >= hi {
 		return
@@ -152,23 +148,29 @@ func (p pattern) countInto(lo, hi int, counts []int64, sign int64) {
 			}
 		}
 	default:
-		it := newBresIter(p.weights)
-		for page := 0; page < hi; page++ {
-			n := it.next()
-			if page >= lo {
-				counts[n] += sign
-			}
+		wk := p.walk
+		wk.seek(lo)
+		for j, c := range wk.count {
+			counts[wk.nodes[j]] -= sign * c
+		}
+		wk.seek(hi)
+		for j, c := range wk.count {
+			counts[wk.nodes[j]] += sign * c
 		}
 	}
 }
 
 // samePlacement counts the pages in [lo,hi) that patterns p and q assign
 // to the same node — the pages a re-bind from p to q does NOT migrate.
-// Two cyclic patterns are compared over one joint period; weighted
-// patterns are replayed.
+// Two cyclic patterns are compared over one joint period, a single node
+// against a weighted walk by a prefix-count difference; other weighted
+// pairs are walked page by page from the checkpoints at or below lo.
 func samePlacement(p, q pattern, lo, hi int) int64 {
 	if lo >= hi {
 		return 0
+	}
+	if p.sameFunc(q) {
+		return int64(hi - lo)
 	}
 	if p.kind == patSeq && q.kind == patSeq {
 		span := hi - lo
@@ -199,37 +201,64 @@ func samePlacement(p, q pattern, lo, hi int) int64 {
 		}
 		return int64(span/period)*windowMatch + rem
 	}
-	// At least one weighted side: replay from page 0.
-	next := patternCursor(p)
-	nextQ := patternCursor(q)
+	if q.kind == patSeq {
+		p, q = q, p
+	}
+	if p.kind == patSeq && len(p.seq) == 1 {
+		// One node against a walk: the pages the walk gives that node.
+		wk := q.walk
+		j := slices.Index(wk.nodes, p.seq[0])
+		if j < 0 {
+			return 0
+		}
+		wk.seek(lo)
+		inLo := wk.count[j]
+		wk.seek(hi)
+		return wk.count[j] - inLo
+	}
+	cp, cq := p.cursorAt(lo), q.cursorAt(lo)
 	var match int64
-	for page := 0; page < hi; page++ {
-		a, b := next(), nextQ()
-		if page >= lo && a == b {
+	for page := lo; page < hi; page++ {
+		if cp.next() == cq.next() {
 			match++
 		}
 	}
 	return match
 }
 
-// patternCursor returns a function yielding the pattern's node for pages
-// 0, 1, 2, … in order.
-func patternCursor(p pattern) func() topology.NodeID {
+// cursor yields a pattern's node for consecutive pages.
+type cursor struct {
+	pat    pattern
+	idx    int       // patSeq: index into seq of the next page
+	credit []float64 // patWeighted: walk credit before the next page
+}
+
+// cursorAt returns a cursor whose first next() is the node of page. A
+// weighted cursor starts from a copy of its walk's state seeked to page.
+func (p pattern) cursorAt(page int) cursor {
+	c := cursor{pat: p}
 	switch p.kind {
 	case patSeq:
-		idx := p.seqIndex(0)
-		return func() topology.NodeID {
-			n := p.seq[idx]
-			if idx++; idx == len(p.seq) {
-				idx = 0
-			}
-			return n
-		}
+		c.idx = p.seqIndex(page)
 	case patWeighted:
-		it := newBresIter(p.weights)
-		return it.next
+		p.walk.seek(page)
+		c.credit = slices.Clone(p.walk.credit)
+	}
+	return c
+}
+
+func (c *cursor) next() topology.NodeID {
+	switch c.pat.kind {
+	case patSeq:
+		n := c.pat.seq[c.idx]
+		if c.idx++; c.idx == len(c.pat.seq) {
+			c.idx = 0
+		}
+		return n
+	case patWeighted:
+		return c.pat.walk.nodes[c.pat.walk.steps(c.credit, nil, 1)]
 	default:
-		return func() topology.NodeID { return Unmapped }
+		return Unmapped
 	}
 }
 
@@ -241,32 +270,104 @@ func lcm(a, b int) int {
 	return a / x * b
 }
 
-// bresIter replays the Bresenham weighted round-robin of MbindWeighted:
-// each page, every positive weight accrues credit and the page goes to the
-// highest-credit node (first index wins ties), which then pays one page of
-// credit. The arithmetic matches a per-page implementation bit for bit.
-type bresIter struct {
-	weights []float64
-	credit  []float64
+// walkStride is the page distance between a walk's checkpoints. It bounds
+// the steps any prefix count, point query or cursor start pays past the
+// part of the walk already taken.
+const walkStride = 4096
+
+// walk is the Bresenham weighted round-robin of one normalized weight
+// vector — MbindWeighted's assignment — taken lazily from page 0 and
+// checkpointed every walkStride pages. Each page, every positive weight
+// accrues credit in ascending node order and the page goes to the
+// highest-credit node (the lowest index wins ties), which then pays one
+// page of credit; the arithmetic matches a per-page implementation bit for
+// bit. The weighted patterns of an address space share one walk per weight
+// vector, so its segments pay for one walk to the largest of them.
+type walk struct {
+	weights []float64         // normalized, one per node; immutable
+	nodes   []topology.NodeID // the positive-weight nodes, ascending
+	w       []float64         // their weights
+	// Checkpoint k holds the credit and the per-node page counts after
+	// k·walkStride pages, len(nodes) entries each (indexed like nodes);
+	// checkpoint 0 is all zero.
+	cpCredit []float64
+	cpCount  []int64
+	// credit and count are the walk's state after at pages, where the last
+	// seek left it; count is indexed like nodes, so it holds the per-node
+	// page counts of pages [0,at).
+	credit []float64
+	count  []int64
+	at     int
 }
 
-func newBresIter(weights []float64) *bresIter {
-	return &bresIter{weights: weights, credit: make([]float64, len(weights))}
-}
-
-func (it *bresIter) next() topology.NodeID {
-	best := -1
-	for n, w := range it.weights {
-		if w <= 0 {
-			continue
-		}
-		it.credit[n] += w
-		if best == -1 || it.credit[n] > it.credit[best] {
-			best = n
+// newWalk returns the walk of normalized weights, with checkpoint storage
+// preallocated for a segment of pages pages.
+func newWalk(weights []float64, pages int) *walk {
+	wk := &walk{weights: weights, at: -1}
+	for n, w := range weights {
+		if w > 0 {
+			wk.nodes = append(wk.nodes, topology.NodeID(n))
+			wk.w = append(wk.w, w)
 		}
 	}
-	it.credit[best]--
-	return topology.NodeID(best)
+	m := len(wk.w)
+	wk.cpCredit = make([]float64, m, (pages/walkStride+1)*m)
+	wk.cpCount = make([]int64, m, cap(wk.cpCredit))
+	wk.credit = make([]float64, m)
+	wk.count = make([]int64, m)
+	return wk
+}
+
+// checkpoint returns the credit at checkpoint k, extending the walk to it.
+// The slice is the walk's own: callers must not modify it.
+func (wk *walk) checkpoint(k int) []float64 {
+	m := len(wk.w)
+	for len(wk.cpCredit) <= k*m {
+		last := len(wk.cpCredit) - m
+		wk.cpCredit = append(wk.cpCredit, wk.cpCredit[last:]...)
+		wk.cpCount = append(wk.cpCount, wk.cpCount[last:]...)
+		wk.steps(wk.cpCredit[last+m:], wk.cpCount[last+m:], walkStride)
+	}
+	return wk.cpCredit[k*m : (k+1)*m]
+}
+
+// seek moves the walk's state (credit, count) to page p. It resumes from
+// where the last seek left it when that lies in p's stride at or before p
+// (ascending queries, such as a re-bind over consecutive runs, walk each
+// stride once), else from the checkpoint at or below p.
+func (wk *walk) seek(p int) {
+	if k := p / walkStride; wk.at < k*walkStride || wk.at > p {
+		m := len(wk.w)
+		copy(wk.credit, wk.checkpoint(k))
+		copy(wk.count, wk.cpCount[k*m:(k+1)*m])
+		wk.at = k * walkStride
+	}
+	wk.steps(wk.credit, wk.count, p-wk.at)
+	wk.at = p
+}
+
+// steps advances the walk state credit (and count, unless nil) by n pages
+// and returns the index into nodes of the last page's node.
+func (wk *walk) steps(credit []float64, count []int64, n int) int {
+	w := wk.w[:len(credit)]
+	best := -1
+	for ; n > 0; n-- {
+		best = 0
+		top := credit[0] + w[0]
+		credit[0] = top
+		for j := 1; j < len(credit); j++ {
+			c := credit[j] + w[j]
+			credit[j] = c
+			if c > top {
+				best, top = j, c
+			}
+		}
+		credit[best] = top - 1
+		if count != nil {
+			count[best]++
+		}
+	}
+	return best
 }
 
 // run is one interval of pages sharing a placement pattern. A run spans
@@ -323,6 +424,9 @@ type AddressSpace struct {
 	// share one slice instead of sorting a fresh copy each call. Patterns
 	// never mutate their seq, the same invariant singleSeq relies on.
 	setSeq map[uint64][]topology.NodeID
+	// lastWalk is the walk of the latest weighted mbind, reused by the next
+	// one with equal weights (an app's segments under one weight vector).
+	lastWalk *walk
 }
 
 // NewAddressSpace returns an empty address space for a machine with
@@ -702,6 +806,9 @@ func (s *Segment) MbindWeighted(weights []float64, flags Flags) error {
 	}
 	sum := 0.0
 	for i, w := range weights {
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return fmt.Errorf("mm: %s: non-finite weight %v for node %d", s.name, w, i)
+		}
 		if w < 0 {
 			return fmt.Errorf("mm: %s: negative weight %f for node %d", s.name, w, i)
 		}
@@ -710,11 +817,17 @@ func (s *Segment) MbindWeighted(weights []float64, flags Flags) error {
 	if sum <= 0 {
 		return fmt.Errorf("mm: %s: weights sum to zero", s.name)
 	}
+	if math.IsInf(sum, 1) {
+		return fmt.Errorf("mm: %s: weights sum overflows", s.name)
+	}
 	norm := make([]float64, len(weights))
 	for i, w := range weights {
 		norm[i] = w / sum
 	}
-	s.replaceRange(0, s.pageCount, pattern{kind: patWeighted, weights: norm}, flags&MoveFlag != 0)
+	if wk := s.as.lastWalk; wk == nil || !slices.Equal(wk.weights, norm) {
+		s.as.lastWalk = newWalk(norm, s.pageCount)
+	}
+	s.replaceRange(0, s.pageCount, pattern{kind: patWeighted, walk: s.as.lastWalk}, flags&MoveFlag != 0)
 	return nil
 }
 
@@ -810,12 +923,9 @@ scan:
 		}
 		// General path: walk the run's assignment page by page. Bounded by
 		// the run length, as a per-page implementation would be.
-		next := patternCursor(r.pat)
-		for skip := 0; skip < lo; skip++ {
-			next()
-		}
+		c := r.pat.cursorAt(lo)
 		for p := lo; p < hi && budget > 0; p++ {
-			cur := next()
+			cur := c.next()
 			if deficit[cur] >= 0 {
 				continue
 			}

@@ -255,14 +255,23 @@ func TestMbindWeightedNormalizesWeights(t *testing.T) {
 func TestMbindWeightedErrors(t *testing.T) {
 	as := newAS(t)
 	s := as.AddSegment("d", PageSize*4, SharedOwner)
-	if err := s.MbindWeighted([]float64{1, 1}, 0); err == nil {
-		t.Fatal("wrong weight count accepted")
+	for _, c := range []struct {
+		name    string
+		weights []float64
+	}{
+		{"wrong weight count", []float64{1, 1}},
+		{"negative weight", []float64{1, -1, 0, 0}},
+		{"zero weights", []float64{0, 0, 0, 0}},
+		{"NaN weight", []float64{math.NaN(), 1, 1, 1}},
+		{"+Inf weight", []float64{1, math.Inf(1), 1, 1}},
+		{"overflowing sum", []float64{math.MaxFloat64, math.MaxFloat64, 0, 0}},
+	} {
+		if err := s.MbindWeighted(c.weights, 0); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
-	if err := s.MbindWeighted([]float64{1, -1, 0, 0}, 0); err == nil {
-		t.Fatal("negative weight accepted")
-	}
-	if err := s.MbindWeighted([]float64{0, 0, 0, 0}, 0); err == nil {
-		t.Fatal("zero weights accepted")
+	if s.MappedPages() != 0 {
+		t.Fatalf("rejected calls mapped %d pages", s.MappedPages())
 	}
 }
 
