@@ -204,9 +204,9 @@ func (policyUniformAll) Place(e *sim.Engine, a *sim.App) error {
 }
 
 // BenchmarkEngineQuiescentAdvance measures the quiescent-interval
-// fast-forward on a long quiescent single-app run: 3000 ticks advanced
-// with the memoized replay path ("on") vs. the naive solve-every-tick
-// reference ("off"). The two are byte-identical in results (pinned by
+// fast-forward on a long quiescent single-app run: 3000 ticks advanced by
+// AdvanceTo with the memoized replay path ("on") vs. the naive
+// solve-every-tick reference ("off"). The two are byte-identical in results (pinned by
 // TestFastForwardEquivalence); the acceptance criterion is on ≥ 5× faster.
 func BenchmarkEngineQuiescentAdvance(b *testing.B) {
 	m := topology.MachineA()
@@ -227,7 +227,7 @@ func BenchmarkEngineQuiescentAdvance(b *testing.B) {
 				if err := e.PlaceApp(app); err != nil {
 					b.Fatal(err)
 				}
-				e.AdvanceToQuiescent(300)
+				e.AdvanceTo(300)
 				if e.Ticks() != 3000 {
 					b.Fatalf("advanced %d ticks, want 3000", e.Ticks())
 				}
@@ -287,14 +287,13 @@ func BenchmarkFleetThroughput(b *testing.B) {
 
 // BenchmarkFleetThroughputSharded measures the scheduler's multi-core
 // scaling axis: the identical warm-cache job stream over 8 machines at 1,
-// 2 and 4 shards with the worker pool sized to match, under both advance
-// engines (v1 per-tick barrier, v2 conservative-lookahead windows).
-// Least-loaded routing keeps every placement — and, per engine, the
-// event log — bit-identical across shard counts, so the sub-benchmarks
-// do the same simulated work; jobs/s differences are pure tick-advance
-// parallelism. (On a single-core runner the shard counts tie modulo
-// barrier overhead; the /4-beats-/1 gate for v2 assumes ≥4 cores and is
-// enforced by the CI multicore job via TestShardScalingMultiCoreGate.)
+// 2 and 4 shards with the worker pool sized to match. Least-loaded
+// routing keeps every placement — and the event log — bit-identical
+// across shard counts, so the sub-benchmarks do the same simulated work;
+// jobs/s differences are pure tick-advance parallelism. (On a single-core
+// runner the shard counts tie modulo barrier overhead; the /4-beats-/1
+// gate assumes ≥4 cores and is enforced by the CI multicore job via
+// TestShardScalingMultiCoreGate.)
 func BenchmarkFleetThroughputSharded(b *testing.B) {
 	cache := bwap.NewTuningCache(bwap.Config{Seed: 1}, 0, 1)
 	const jobs = 24
@@ -318,37 +317,34 @@ func BenchmarkFleetThroughputSharded(b *testing.B) {
 	if _, err := warm.Run(); err != nil {
 		b.Fatal(err)
 	}
-	for _, engine := range []int{1, 2} {
-		for _, shards := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("v%d/%d", engine, shards), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					f, err := bwap.NewFleet(bwap.FleetConfig{
-						Machines:      8,
-						Shards:        shards,
-						Workers:       shards,
-						EngineVersion: engine,
-						SimCfg:        bwap.Config{Seed: 1},
-						Seed:          1,
-						Cache:         cache,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := f.SubmitStream(stream); err != nil {
-						b.Fatal(err)
-					}
-					stats, err := f.Run()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if stats.Completed != jobs {
-						b.Fatalf("completed %d/%d", stats.Completed, jobs)
-					}
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprint(shards), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f, err := bwap.NewFleet(bwap.FleetConfig{
+					Machines: 8,
+					Shards:   shards,
+					Workers:  shards,
+					SimCfg:   bwap.Config{Seed: 1},
+					Seed:     1,
+					Cache:    cache,
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(jobs*b.N)/b.Elapsed().Seconds(), "jobs/s")
-			})
-		}
+				if err := f.SubmitStream(stream); err != nil {
+					b.Fatal(err)
+				}
+				stats, err := f.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if stats.Completed != jobs {
+					b.Fatalf("completed %d/%d", stats.Completed, jobs)
+				}
+			}
+			b.ReportMetric(float64(jobs*b.N)/b.Elapsed().Seconds(), "jobs/s")
+		})
 	}
 }
 
@@ -387,13 +383,12 @@ func BenchmarkColdCacheProbeBurst(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				f, err := bwap.NewFleet(bwap.FleetConfig{
-					Machines:      8,
-					Shards:        2,
-					Workers:       2,
-					EngineVersion: 2,
-					ProbeWorkers:  pw,
-					SimCfg:        bwap.Config{Seed: 1},
-					Seed:          1,
+					Machines:     8,
+					Shards:       2,
+					Workers:      2,
+					ProbeWorkers: pw,
+					SimCfg:       bwap.Config{Seed: 1},
+					Seed:         1,
 				})
 				if err != nil {
 					b.Fatal(err)

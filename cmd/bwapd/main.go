@@ -4,13 +4,12 @@
 // by the selected placement policy (BWAP placements come from the
 // single-flight tuning cache, so repeat jobs skip re-profiling), and
 // advanced through simulated time by a background clock decoupled from wall
-// time. With -shards > 1 the shards advance concurrently — under a per-tick
-// barrier with -engine 1 (the frozen reference), or free-running through
-// conservative-lookahead windows with -engine 2 — the daemon's multi-core
-// scaling axis; the event log stays bit-identical for a given seed and
-// engine regardless of the shard and worker counts. See the fleet section
-// and §12 of DESIGN.md for the event model, the replayable JSONL log
-// format and the engine-version policy.
+// time. With -shards > 1 the shards advance concurrently, free-running
+// through conservative-lookahead windows with one barrier per window — the
+// daemon's multi-core scaling axis; the event log stays bit-identical for a
+// given seed regardless of the shard and worker counts. See the fleet
+// section and §12 of DESIGN.md for the event model, the replayable JSONL
+// log format and the advance engine.
 //
 // The tuning cache is durable: -cache-file loads a snapshot on boot (warm
 // start — repeated workload signatures skip re-profiling across restarts)
@@ -25,7 +24,6 @@
 //	bwapd                                   # 2× Machine B fleet on :8080
 //	bwapd -machines 8 -machine A -policy bwap -sim-rate 500
 //	bwapd -machines 8 -shards 4 -shard-workers 4   # multi-core tick advance
-//	bwapd -shards 4 -engine 2               # windowed (lookahead) advance
 //	bwapd -routing hash-affinity -admission best-bandwidth
 //	bwapd -log fleet-events.jsonl           # mirror the event log to disk
 //	bwapd -cache-file tuning.json           # warm-startable tuning cache
@@ -90,7 +88,6 @@ func main() {
 	machines := flag.Int("machines", 2, "fleet size")
 	shards := flag.Int("shards", 1, "shard count (per-shard event loops advanced in parallel)")
 	shardWorkers := flag.Int("shard-workers", 0, "goroutines advancing shards (0 = min(shards, GOMAXPROCS))")
-	engine := flag.Int("engine", 0, "advance engine: 1 = per-tick barrier (reference), 2 = conservative-lookahead windows (0 = BWAP_ENGINE env, else 1)")
 	routing := flag.String("routing", fleet.RouteLeastLoaded, "job routing tier: least-loaded, hash-affinity, round-robin")
 	admission := flag.String("admission", fleet.AdmitMostFree, "node-selection policy: most-free, best-bandwidth, anti-affinity")
 	machine := flag.String("machine", "B", "machine model: A (8-node Opteron), B (4-node Xeon)")
@@ -194,7 +191,6 @@ func main() {
 		Machines:       *machines,
 		Shards:         *shards,
 		Workers:        *shardWorkers,
-		EngineVersion:  *engine,
 		Routing:        *routing,
 		Admission:      *admission,
 		NewMachine:     newMachine,
@@ -308,8 +304,8 @@ func main() {
 		httpSrv.Shutdown(drainCtx) //nolint:errcheck // exiting anyway
 	}()
 
-	fmt.Printf("bwapd: %d× machine %s fleet (%d shards, engine v%d), policy %s, routing %s, admission %s, listening on %s\n",
-		*machines, *machine, *shards, fl.Stats().EngineVersion, *policy, *routing, *admission, *addr)
+	fmt.Printf("bwapd: %d× machine %s fleet (%d shards), policy %s, routing %s, admission %s, listening on %s\n",
+		*machines, *machine, *shards, *policy, *routing, *admission, *addr)
 	err = httpSrv.ListenAndServe()
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		// Tear the driver down before fatal flushes the span log: the clock

@@ -14,8 +14,8 @@ import (
 // The fast-forward scenario demonstrates the quiescent-interval
 // optimization end to end: the identical job stream scheduled twice —
 // once on the naive solve-every-tick reference (DisableFastForward, the
-// BWAP_NO_FASTFORWARD=1 path) and once with memoized solves and
-// barrier-free replay batches. The simulated outcome is byte-identical by
+// BWAP_NO_FASTFORWARD=1 path) and once with memoized solves replayed
+// through the advance windows. The simulated outcome is byte-identical by
 // construction (the scenario verifies the merged event logs match); what
 // changes is wall-clock time and the tick economics, which the table
 // reports as solves vs. replays.

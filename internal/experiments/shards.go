@@ -12,11 +12,9 @@ import (
 
 // The shard-scaling scenario measures the fleet's multi-core axis: the
 // identical job stream scheduled at increasing shard counts (worker pool
-// sized to match), under each admission policy and both advance engines
-// (v1 per-tick barrier, v2 conservative-lookahead windows). Because
-// routing is least-loaded, the simulated outcome — every placement,
-// turnaround and log byte — is invariant to the shard count for a fixed
-// engine (the replay tests pin this);
+// sized to match), under each admission policy. Because routing is
+// least-loaded, the simulated outcome — every placement, turnaround and
+// log byte — is invariant to the shard count (the replay tests pin this);
 // what changes is wall-clock time, so the table separates simulation
 // results (identical down the column) from the wall-time scaling the
 // sharding exists for. Runs share one pre-warmed tuning cache so probe
@@ -27,10 +25,9 @@ var ShardAdmissionPolicies = []string{
 	fleet.AdmitMostFree, fleet.AdmitBestBandwidth, fleet.AdmitAntiAffinity,
 }
 
-// ShardScalingResult is one (admission policy, engine, shard count) cell.
+// ShardScalingResult is one (admission policy, shard count) cell.
 type ShardScalingResult struct {
 	Admission string
-	Engine    int
 	Shards    int
 	WallMS    float64
 	Stats     *fleet.Stats
@@ -50,7 +47,6 @@ type ShardScalingTable struct {
 // quick shrinks the fleet and stream for tests and CI.
 func RunShardScaling(quick bool) (*ShardScalingTable, error) {
 	machines := 8
-	engines := []int{1, 2}
 	shardCounts := []int{1, 2, 4}
 	jobsPerClass := 6
 	workScale := 0.05
@@ -64,17 +60,16 @@ func RunShardScaling(quick bool) (*ShardScalingTable, error) {
 	simCfg := sim.Config{Seed: 1}
 	cache := fleet.NewTuningCache(simCfg, 0, 1)
 
-	newFleet := func(admission string, engine, shards int) (*fleet.Fleet, error) {
+	newFleet := func(admission string, shards int) (*fleet.Fleet, error) {
 		return fleet.New(fleet.Config{
-			Machines:      machines,
-			Shards:        shards,
-			Workers:       shards,
-			EngineVersion: engine,
-			Admission:     admission,
-			NewMachine:    func(int) *topology.Machine { return topology.MachineB() },
-			SimCfg:        simCfg,
-			Seed:          1,
-			Cache:         cache,
+			Machines:   machines,
+			Shards:     shards,
+			Workers:    shards,
+			Admission:  admission,
+			NewMachine: func(int) *topology.Machine { return topology.MachineB() },
+			SimCfg:     simCfg,
+			Seed:       1,
+			Cache:      cache,
 		})
 	}
 
@@ -88,7 +83,7 @@ func RunShardScaling(quick bool) (*ShardScalingTable, error) {
 		ShardCounts: shardCounts,
 	}
 	for _, admission := range ShardAdmissionPolicies {
-		warm, err := newFleet(admission, 1, 1)
+		warm, err := newFleet(admission, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -98,28 +93,25 @@ func RunShardScaling(quick bool) (*ShardScalingTable, error) {
 		if _, err := warm.Run(); err != nil {
 			return nil, fmt.Errorf("shards warm-up (%s): %w", admission, err)
 		}
-		for _, engine := range engines {
-			for _, shards := range shardCounts {
-				f, err := newFleet(admission, engine, shards)
-				if err != nil {
-					return nil, err
-				}
-				if err := f.SubmitStream(streams); err != nil {
-					return nil, err
-				}
-				start := time.Now() //bwap:wallclock WallMS reports real speedup; it is presentation, not simulation state
-				stats, err := f.Run()
-				if err != nil {
-					return nil, fmt.Errorf("shards %s/v%d/%d: %w", admission, engine, shards, err)
-				}
-				table.Results = append(table.Results, ShardScalingResult{
-					Admission: admission,
-					Engine:    engine,
-					Shards:    shards,
-					WallMS:    float64(time.Since(start).Microseconds()) / 1000, //bwap:wallclock harness timing, excluded from log-identity checks
-					Stats:     stats,
-				})
+		for _, shards := range shardCounts {
+			f, err := newFleet(admission, shards)
+			if err != nil {
+				return nil, err
 			}
+			if err := f.SubmitStream(streams); err != nil {
+				return nil, err
+			}
+			start := time.Now() //bwap:wallclock WallMS reports real speedup; it is presentation, not simulation state
+			stats, err := f.Run()
+			if err != nil {
+				return nil, fmt.Errorf("shards %s/%d: %w", admission, shards, err)
+			}
+			table.Results = append(table.Results, ShardScalingResult{
+				Admission: admission,
+				Shards:    shards,
+				WallMS:    float64(time.Since(start).Microseconds()) / 1000, //bwap:wallclock harness timing, excluded from log-identity checks
+				Stats:     stats,
+			})
 		}
 	}
 	return table, nil
@@ -130,9 +122,9 @@ func (t *ShardScalingTable) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", t.Title)
 	fmt.Fprintf(&b, "%d machines (Machine B), %d jobs, least-loaded routing, workers = shards\n", t.Machines, t.Jobs)
-	fmt.Fprintf(&b, "(simulated columns are shard-invariant per engine by construction; wall ms is the scaling axis)\n\n")
-	fmt.Fprintf(&b, "  %-16s %6s %7s %9s %11s %12s %7s %8s\n",
-		"admission", "engine", "shards", "wall ms", "speedup", "turnaround", "util", "cache")
+	fmt.Fprintf(&b, "(simulated columns are shard-invariant by construction; wall ms is the scaling axis)\n\n")
+	fmt.Fprintf(&b, "  %-16s %7s %9s %11s %12s %7s %8s\n",
+		"admission", "shards", "wall ms", "speedup", "turnaround", "util", "cache")
 	var base float64
 	for _, r := range t.Results {
 		if r.Shards == t.ShardCounts[0] {
@@ -143,8 +135,8 @@ func (t *ShardScalingTable) Render() string {
 			speedup = fmt.Sprintf("%.2fx", base/r.WallMS)
 		}
 		s := r.Stats
-		fmt.Fprintf(&b, "  %-16s %6s %7d %9.1f %11s %11.1fs %6.1f%% %5d/%d\n",
-			r.Admission, fmt.Sprintf("v%d", r.Engine), r.Shards, r.WallMS, speedup,
+		fmt.Fprintf(&b, "  %-16s %7d %9.1f %11s %11.1fs %6.1f%% %5d/%d\n",
+			r.Admission, r.Shards, r.WallMS, speedup,
 			s.MeanTurnaround, 100*s.Utilization, s.CacheHits, s.CacheMisses)
 	}
 	return b.String()

@@ -1,48 +1,41 @@
 package experiments
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // TestShardScalingInvariance runs the quick shard-scaling grid and checks
-// the scenario's core claim: for a fixed (admission policy, engine) pair,
-// the simulated outcome is identical at every shard count (only wall time
-// may move). Engines are NOT compared to each other: v2's latency-feedback
-// snap legitimately shifts turnarounds in the last float digits.
+// the scenario's core claim: for a fixed admission policy, the simulated
+// outcome is identical at every shard count (only wall time may move).
 func TestShardScalingInvariance(t *testing.T) {
 	table, err := RunShardScaling(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const engines = 2 // v1 barrier, v2 windowed
-	if len(table.Results) != len(ShardAdmissionPolicies)*len(table.ShardCounts)*engines {
+	if len(table.Results) != len(ShardAdmissionPolicies)*len(table.ShardCounts) {
 		t.Fatalf("got %d cells, want %d", len(table.Results),
-			len(ShardAdmissionPolicies)*len(table.ShardCounts)*engines)
+			len(ShardAdmissionPolicies)*len(table.ShardCounts))
 	}
 	type outcome struct {
 		completed  int
 		turnaround float64
 		records    int
 	}
-	byGroup := map[string]outcome{}
+	byAdmission := map[string]outcome{}
 	for _, r := range table.Results {
 		if r.Stats.Completed != table.Jobs {
-			t.Fatalf("%s/v%d/%d completed %d/%d jobs", r.Admission, r.Engine, r.Shards, r.Stats.Completed, table.Jobs)
+			t.Fatalf("%s/%d completed %d/%d jobs", r.Admission, r.Shards, r.Stats.Completed, table.Jobs)
 		}
-		key := fmt.Sprintf("%s/v%d", r.Admission, r.Engine)
 		got := outcome{r.Stats.Completed, r.Stats.MeanTurnaround, r.Stats.LogRecords}
-		if prev, ok := byGroup[key]; ok {
+		if prev, ok := byAdmission[r.Admission]; ok {
 			if prev != got {
 				t.Fatalf("%s: shard count changed the simulated outcome: %+v vs %+v",
-					key, prev, got)
+					r.Admission, prev, got)
 			}
 		} else {
-			byGroup[key] = got
+			byAdmission[r.Admission] = got
 		}
 		// Warm cache: the measured cells must never probe.
 		if r.Stats.CacheMisses != 0 {
-			t.Fatalf("%s/v%d/%d ran %d probes against the warm cache", r.Admission, r.Engine, r.Shards, r.Stats.CacheMisses)
+			t.Fatalf("%s/%d ran %d probes against the warm cache", r.Admission, r.Shards, r.Stats.CacheMisses)
 		}
 	}
 	if table.Render() == "" {

@@ -8,24 +8,26 @@
 // advanced in lockstep with the others (identical tick length), so
 // co-located jobs contend exactly as they do in the single-run
 // experiments; across shards a bounded worker pool advances every shard
-// concurrently with a barrier per simulated tick, which is the daemon's
-// multi-core scaling axis. Jobs never cross shards once placed, so the
-// lockstep invariant holds per shard and the merged event log is
-// bit-identical for a given seed regardless of the worker count.
+// concurrently, which is the daemon's multi-core scaling axis. Jobs never
+// cross shards once placed, so the lockstep invariant holds per shard and
+// the merged event log is bit-identical for a given seed regardless of
+// the shard and worker counts.
 //
 // The scheduler pops events off the shard heaps (and a router-level
 // arrival heap) in global (timestamp, event kind, push sequence) order;
-// between events it advances every shard tick by tick, stopping the
-// instant any job completes so the completion becomes an event of its
-// own. A routing tier assigns each admission attempt to a shard
-// (Config.Routing: least-loaded, hash-affinity, round-robin) and an
-// AdmissionPolicy picks the node set on the chosen machine
-// (Config.Admission: most-free, best-bandwidth, anti-affinity); jobs that
-// do not fit wait in an arrival-ordered queue and are backfilled as
-// capacity frees up. Under the bwap policy, placement consults the
-// TuningCache — repeated jobs skip re-profiling — and churn (an arrival
-// or departure on a machine) schedules a coalesced retune event that
-// re-places the survivors for their new co-runner count.
+// between events it advances every shard in windows no longer than the
+// next scheduled event and every machine's completion horizon allow, with
+// one barrier per window, stopping after the window in which any job
+// completes so the completion becomes an event of its own. A routing tier
+// assigns each admission attempt to a shard (Config.Routing: least-loaded,
+// hash-affinity, round-robin) and an AdmissionPolicy picks the node set on
+// the chosen machine (Config.Admission: most-free, best-bandwidth,
+// anti-affinity); jobs that do not fit wait in an arrival-ordered queue
+// and are backfilled as capacity frees up. Under the bwap policy,
+// placement consults the TuningCache — repeated jobs skip re-profiling —
+// and churn (an arrival or departure on a machine) schedules a coalesced
+// retune event that re-places the survivors for their new co-runner
+// count.
 //
 // Every decision is appended to a JSONL event log; the same
 // configuration, seed and job stream reproduce the log bit for bit.
@@ -38,9 +40,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
-	"os"
 	"runtime"
-	"strconv"
 
 	"bwap/internal/core"
 	"bwap/internal/policy"
@@ -74,19 +74,6 @@ type Config struct {
 	// (default min(Shards, GOMAXPROCS); clamped to Shards). The event log
 	// is bit-identical for any worker count.
 	Workers int
-	// EngineVersion selects the advance engine. 1 (the default) is the
-	// per-tick barrier loop with quiescent batching — the CI reference
-	// whose logs are frozen byte for byte across PRs. 2 is the
-	// conservative-lookahead windowed engine: shards free-run to a
-	// provable completion-free horizon between barriers instead of
-	// re-entering a fleet-wide barrier every tick, and engines snap the
-	// latency-feedback smoothing to its float fixed point (a deliberate,
-	// versioned bit-compat break — see DESIGN.md §12). Both versions keep
-	// the hard determinism contract: the merged (t, kind, seq) event log
-	// is bit-identical for any shard and worker count. The BWAP_ENGINE
-	// environment variable overrides a zero value, so whole test suites
-	// can run under either engine without touching configs.
-	EngineVersion int
 	// Routing selects the job→shard tier (default RouteLeastLoaded).
 	Routing string
 	// Admission selects the node-selection policy on the admitting
@@ -98,7 +85,8 @@ type Config struct {
 	NewMachine func(i int) *topology.Machine
 	// SimCfg configures every machine's engine. All machines tick with the
 	// same DT; per-machine noise streams are decorrelated by deriving each
-	// engine's seed from Seed and the machine index.
+	// engine's seed from Seed and the machine index. New always turns on
+	// SnapLatFeedback (see DESIGN.md §12).
 	SimCfg sim.Config
 	// Policy selects the placement policy for admitted jobs (default
 	// PolicyBWAP).
@@ -205,14 +193,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBackoffCap <= 0 {
 		c.RetryBackoffCap = 60
-	}
-	if c.EngineVersion == 0 {
-		c.EngineVersion = 1
-		if v := os.Getenv("BWAP_ENGINE"); v != "" {
-			if n, err := strconv.Atoi(v); err == nil {
-				c.EngineVersion = n // New rejects out-of-range values loudly
-			}
-		}
 	}
 	return c
 }
@@ -350,7 +330,8 @@ func (m *machine) release(nodes []topology.NodeID) {
 // Fleet schedules a job stream over a sharded set of simulated machines.
 // It is not safe for concurrent use; the HTTP server serializes access.
 // (The worker pool inside Advance/Run is an implementation detail — it
-// synchronizes on per-tick barriers and never outlives the call.)
+// synchronizes on one barrier per advance window and never outlives the
+// call.)
 type Fleet struct {
 	cfg       Config
 	dt        float64
@@ -381,10 +362,9 @@ type Fleet struct {
 	eventSeq int
 	now      float64
 	pool     *tickPool // live only inside a run() invocation
-	lastBusy int       // machine that vetoed the last quiescent batch
-	// batches/batchTicksSum count barrier-bound advance steps and the ticks
-	// they covered — the denominator and numerator of the mean window the
-	// horizon allows, the v2 perf signal the engine2 suite gates on.
+	// batches/batchTicksSum count advance windows and the ticks they
+	// covered — the denominator and numerator of the mean window the
+	// horizon allows, the perf signal the engine suite gates on.
 	batches       int64
 	batchTicksSum int64
 
@@ -404,15 +384,11 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Shards > cfg.Machines {
 		return nil, fmt.Errorf("fleet: %d shards for %d machines", cfg.Shards, cfg.Machines)
 	}
-	if cfg.EngineVersion != 1 && cfg.EngineVersion != 2 {
-		return nil, fmt.Errorf("fleet: unknown engine version %d (have 1, 2)", cfg.EngineVersion)
-	}
-	if cfg.EngineVersion >= 2 {
-		// The windowed engine opts every machine — including ones a
-		// machine-add fault grows later, which inherit cfg.SimCfg — into
-		// the latency-feedback fixed-point snap.
-		cfg.SimCfg.SnapLatFeedback = true
-	}
+	// Every machine — including ones a machine-add fault grows later,
+	// which inherit cfg.SimCfg — snaps the latency feedback to its fixed
+	// point, so replayable stretches start dozens of ticks sooner after
+	// each perturbation.
+	cfg.SimCfg.SnapLatFeedback = true
 	router, err := NewRouting(cfg.Routing)
 	if err != nil {
 		return nil, err
@@ -446,7 +422,7 @@ func New(cfg Config) (*Fleet, error) {
 		f.cache.SetProbeObserver(f.obs.observeProbe)
 	}
 	for s := 0; s < cfg.Shards; s++ {
-		f.shards = append(f.shards, &shard{id: s, v2: cfg.EngineVersion >= 2})
+		f.shards = append(f.shards, &shard{id: s})
 	}
 	for i := 0; i < cfg.Machines; i++ {
 		topo := cfg.NewMachine(i)
@@ -722,8 +698,8 @@ func (f *Fleet) eps() float64 { return f.dt * 1e-6 }
 
 // run is the event loop. In drain mode it runs until no events remain and
 // no job is running (error if MaxSimTime is hit first); otherwise it stops
-// once the clock reaches target. The tick worker pool, if the advance
-// path needs one, lives exactly as long as this invocation.
+// once the clock reaches target. The tick worker pool, if the fleet has
+// more than one worker, lives exactly as long as this invocation.
 func (f *Fleet) run(target float64, drain bool) error {
 	defer f.stopPool()
 	for {
@@ -774,83 +750,17 @@ func (f *Fleet) run(target float64, drain bool) error {
 	}
 }
 
-// minQuiescentBatch is the smallest quiescent window worth advancing as
-// one barrier-free batch; anything shorter runs through the normal
-// per-tick loop (whose engine-level solve memoization already makes those
-// ticks cheap).
-const minQuiescentBatch = 4
-
-// quiescentBatch returns how many ticks the next advance step may cover:
-// 1 — a normal barrier-bound tick — unless every machine in the fleet is
-// quiescent with a known horizon, in which case the whole provably
-// event-free window (capped so the clock stays strictly below t) advances
-// as one batch. Idle machines (zero placed apps) are quiescent with an
-// unbounded horizon once their latency feedback settles, so a mostly-idle
-// fleet stops grinding per-tick barriers entirely — the fix for the
-// negative shard scaling BENCH_3 measured.
-func (f *Fleet) quiescentBatch(t float64) int {
-	rt := (t - f.now) / f.dt
-	if !(rt < 1<<40) {
-		rt = 1 << 40
-	}
-	k := int(rt) - 1 // strictly below t: the tail ticks use the exact clock test
-	if k < minQuiescentBatch {
-		return 1
-	}
-	// Probe the machine that vetoed the last batch first: in a busy fleet
-	// it is almost always still non-quiescent, so the common per-tick cost
-	// of this scan is one machine's check, not the whole fleet's.
-	if b := f.lastBusy; b < len(f.machines) {
-		q := f.machines[b].eng.QuiescentTicks(k)
-		if q < minQuiescentBatch {
-			return 1
-		}
-		if q < k {
-			k = q
-		}
-	}
-	for i, m := range f.machines {
-		if i == f.lastBusy {
-			continue
-		}
-		q := m.eng.QuiescentTicks(k)
-		if q < minQuiescentBatch {
-			f.lastBusy = i
-			return 1
-		}
-		if q < k {
-			k = q
-		}
-	}
-	return k
-}
-
-// batchTicks sizes the next barrier-free advance step for the configured
-// engine: v1 batches only provably quiescent windows, v2 free-runs to the
-// conservative-lookahead horizon.
-func (f *Fleet) batchTicks(t float64) int {
-	k := 0
-	if f.cfg.EngineVersion >= 2 {
-		k = f.lookaheadWindow(t)
-	} else {
-		k = f.quiescentBatch(t)
-	}
-	f.batches++
-	f.batchTicksSum += int64(k)
-	return k
-}
-
-// lookaheadWindow is the engine-v2 window sizer: the number of ticks the
+// lookaheadWindow sizes the next advance window: the number of ticks the
 // shards may free-run without any barrier, capped so the clock stays
 // strictly below t (the next scheduled event already on a heap) and below
 // every machine's completion horizon (the only event kind that emerges
 // from inside an engine rather than from a heap; see
-// sim.CompletionHorizonTicks for the demand-bound proof). Unlike
-// quiescentBatch this does not require quiescence — solves, phase
-// changes and init bursts may all happen inside the window — so a busy
-// fleet pays one barrier per emergent event instead of one per tick. The
-// window size is a pure function of global fleet state, identical for
-// every shard and worker count, which keeps the merged log invariant.
+// sim.CompletionHorizonTicks for the demand-bound proof). The window does
+// not require quiescence — solves, phase changes and init bursts may all
+// happen inside it — so a busy fleet pays one barrier per emergent event
+// instead of one per tick. The window size is a pure function of global
+// fleet state, identical for every shard and worker count, which keeps
+// the merged log invariant.
 func (f *Fleet) lookaheadWindow(t float64) int {
 	rt := (t - f.now) / f.dt
 	if !(rt < 1<<40) {
@@ -869,28 +779,6 @@ func (f *Fleet) lookaheadWindow(t float64) int {
 		}
 	}
 	return k
-}
-
-// advanceTo ticks every shard in lockstep until the clock reaches t,
-// stopping at the first tick in which any job completes; the newly
-// completed jobs are returned so the loop can turn them into events. With
-// more than one shard and worker the shards advance concurrently under
-// the per-tick barrier; the serial path is the single-worker degenerate
-// case of the same loop. Quiescent windows — every machine event-free
-// with a known horizon — advance as single batches that skip the
-// per-tick barrier (see quiescentBatch).
-func (f *Fleet) advanceTo(t float64) []*Job {
-	var comps []*Job
-	if f.workers > 1 && len(f.shards) > 1 {
-		comps = f.advanceParallel(t)
-	} else {
-		comps = f.advanceSerial(t)
-	}
-	// Shards mirror the lockstep clock for their stats snapshots.
-	for _, s := range f.shards {
-		s.now = f.now
-	}
-	return comps
 }
 
 // handle dispatches one event.

@@ -268,13 +268,10 @@ func (f *Fleet) addMachine() error {
 	eng := sim.New(topo, simCfg)
 	// Catch the fresh engine up to the fleet's lockstep tick count. Every
 	// existing engine has ticked the same number of times, and the clock is
-	// a per-tick += dt accumulation, so after this loop the new engine's
-	// clock is bit-equal to its peers'.
+	// a per-tick += dt accumulation, so afterwards the new engine's clock
+	// is bit-equal to its peers'.
 	if len(f.machines) > 0 {
-		k := f.machines[0].eng.Ticks()
-		for ran := eng.ReplayTicks(k); ran < k; ran++ {
-			eng.Step()
-		}
+		eng.AdvanceTicks(f.machines[0].eng.Ticks())
 	}
 	m := &machine{
 		id:        id,

@@ -24,7 +24,7 @@ func TestProbePoolDeterminism(t *testing.T) {
 	var runs []outcome
 	for _, pw := range []int{-1, 1, 4} {
 		for _, c := range []struct{ shards, workers int }{{1, 1}, {2, 2}, {4, 4}} {
-			cfg := v2(obsFaultConfig(c.shards, c.workers))
+			cfg := obsFaultConfig(c.shards, c.workers)
 			cfg.ProbeWorkers = pw
 			cfg.Obs = NewObserver(ObserverConfig{})
 			f, err := New(cfg)

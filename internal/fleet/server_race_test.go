@@ -10,15 +10,15 @@ import (
 	"time"
 )
 
-// TestServerScrapeDuringChaosEngineV2 hammers the read-only HTTP surfaces
+// TestServerScrapeDuringChaosEngine hammers the read-only HTTP surfaces
 // while a chaos-plan fleet advances under the conservative-lookahead
 // engine. The exposition endpoints render off the server mutex (behind
 // the observer's own lock), so this is the regression net for the
 // snapshot/render split: under -race it proves scrapes never observe the
 // fleet mid-advance, and without -race it still exercises the
 // stalled-scraper-vs-driver interleaving.
-func TestServerScrapeDuringChaosEngineV2(t *testing.T) {
-	cfg := v2(chaosShardConfig(2, 2, false))
+func TestServerScrapeDuringChaosEngine(t *testing.T) {
+	cfg := chaosShardConfig(2, 2, false)
 	var spans bytes.Buffer
 	cfg.Obs = NewObserver(ObserverConfig{SpanW: &spans})
 	f, err := New(cfg)

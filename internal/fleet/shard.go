@@ -7,24 +7,23 @@ package fleet
 // statistics.
 //
 // Concurrency contract — the "shard barrier" every counter hides behind:
-// worker goroutines touch a shard only inside advanceParallel's per-tick
-// window (between the wake send and the done reply), and the scheduler
-// touches shards only outside those windows. Everything a worker mutates
-// (engines, busyNodeSeconds, the completion scratch, now) is therefore
-// exclusively owned at every instant, and Stats/ShardStats — which run
-// under the server mutex, never concurrently with an Advance — read only
-// quiescent state. The -race HTTP load test pins this.
+// a shard is touched by at most one goroutine inside a window (freeRun on
+// the pool worker that owns it, or inline when the fleet has one worker),
+// and the scheduler touches shards only between windows. Everything a
+// window mutates (engines, busyNodeSeconds, the completion scratch) is
+// therefore exclusively owned at every instant, and Stats/ShardStats —
+// which run under the server mutex, never concurrently with an Advance —
+// read only quiescent state. The -race HTTP load test pins this.
 type shard struct {
 	id       int
-	v2       bool       // conservative-lookahead engine: advance free-runs
 	machines []*machine // ascending global id
 	events   eventHeap  // completions + retunes for these machines
 	now      float64
 	nodes    int
 
-	// Written by the owning worker during the tick window.
+	// Written by the owning worker during a window.
 	busyNodeSeconds float64
-	comps           []*Job // completions found this tick, machine-ascending
+	comps           []*Job // completions found this window, machine-ascending
 
 	// Written by the scheduler between windows.
 	admitted, completed, retunes int
@@ -32,86 +31,22 @@ type shard struct {
 	cacheHits, cacheMisses       int64
 }
 
-// tick advances every engine of the shard by one step, charges busy-node
-// time, and collects jobs that completed during the step. Runs either on
-// the scheduler goroutine (serial mode) or on the shard's worker between
-// barriers (parallel mode). The shard clock mirror (s.now) is maintained
-// by advanceTo on the scheduler goroutine, not here, so the lockstep
-// clock has exactly one accumulation sequence.
-func (s *shard) tick(dt float64) {
-	for _, m := range s.machines {
-		m.eng.Step()
-		s.busyNodeSeconds += float64(len(m.free)-m.freeCount) * dt
-	}
-	s.collectComps()
-}
-
-// advance moves the shard k ticks forward. Engine v1: one barrier-bound
-// step for k == 1, the quiescent batch path otherwise. Engine v2: the
-// free-running window body regardless of k.
-func (s *shard) advance(k int, dt float64) {
-	if s.v2 {
-		s.freeRun(k, dt)
-		return
-	}
-	if k == 1 {
-		s.tick(dt)
-		return
-	}
-	s.replay(k, dt)
-}
-
-// replay advances every machine k ticks through the engine's memoized
-// replay loop — the barrier-free path advanceTo takes when every machine
-// is quiescent with a horizon of at least k ticks. Machines with zero
-// placed apps reduce to a bare clock loop inside ReplayTicks, so idle
-// machines cost (almost) nothing. If an engine declines or stops early,
-// the remainder is topped up with full Steps: each machine's state stays
-// byte-identical to k naive Steps regardless. The scheduler would observe
-// a completion inside the window only after the batch — which is why
-// QuiescentTicks' horizon excludes completions with a drift margin that
-// holds for quiescent spans up to ~1e10 ticks (batches are capped at 2^20
-// ticks each), far beyond MaxSimTime's reach; the defensive scan below
-// still surfaces such a completion rather than losing it. The busy-time
-// charges repeat the per-tick additions the naive loop makes (k constant
-// occupancies per machine), keeping utilization accounting bit-equal too.
-func (s *shard) replay(k int, dt float64) {
-	for _, m := range s.machines {
-		for ran := m.eng.ReplayTicks(k); ran < k; ran++ {
-			m.eng.Step()
-		}
-	}
-	for i := 0; i < k; i++ {
-		for _, m := range s.machines {
-			s.busyNodeSeconds += float64(len(m.free)-m.freeCount) * dt
-		}
-	}
-	s.collectComps()
-}
-
 // freeRun advances every machine k ticks with no synchronization at all —
-// the conservative-lookahead engine's window body. Unlike replay it does
-// not assume the window is quiescent: each machine greedily replays
-// memoized stretches and falls back to full solving Steps at every
-// boundary (phase or init crossing, staled solve), re-entering the replay
-// path as soon as a new fixed point is cached. The window sizer
-// (lookaheadWindow) guarantees no completion and no scheduled event falls
-// inside the window, so nothing a worker does here can interact across
-// shards; the completion scan at the end is the same defensive backstop
-// replay keeps. Busy-time charges repeat the per-tick additions in the
-// same (tick, machine) order as the per-tick loop — occupancy is constant
-// between barriers — so utilization accounting is independent of how a
-// span of ticks is cut into windows.
+// one window of the fleet engine. Each engine greedily replays memoized
+// stretches and takes full Steps at every boundary (sim.AdvanceTicks).
+// The window sizer (lookaheadWindow) guarantees no completion and no
+// scheduled event falls inside the window, so nothing a worker does here
+// can interact across shards; the completion scan at the end is a
+// defensive backstop that surfaces a completion the horizon missed rather
+// than losing it. Busy-time charges repeat the per-tick additions in the
+// same (tick, machine) order as a tick-at-a-time loop — occupancy is
+// constant inside a window — so utilization accounting is independent of
+// how a span of ticks is cut into windows. The shard clock mirror (s.now)
+// is maintained by advanceTo on the scheduler goroutine, so the clock has
+// exactly one accumulation sequence.
 func (s *shard) freeRun(k int, dt float64) {
 	for _, m := range s.machines {
-		for ran := 0; ran < k; {
-			if r := m.eng.ReplayTicks(k - ran); r > 0 {
-				ran += r
-				continue
-			}
-			m.eng.Step()
-			ran++
-		}
+		m.eng.AdvanceTicks(k)
 	}
 	for i := 0; i < k; i++ {
 		for _, m := range s.machines {
@@ -121,8 +56,8 @@ func (s *shard) freeRun(k int, dt float64) {
 	s.collectComps()
 }
 
-// collectComps gathers jobs that completed during the step(s) just run,
-// in (machine id, admission order).
+// collectComps gathers jobs that completed during the window just run, in
+// (machine id, admission order).
 func (s *shard) collectComps() {
 	for _, m := range s.machines {
 		for _, j := range m.active {
@@ -143,7 +78,7 @@ func (s *shard) running() int {
 	return n
 }
 
-// gatherComps drains every shard's per-tick completion scratch into one
+// gatherComps drains every shard's per-window completion scratch into one
 // slice ordered by (machine id, admission order) — the exact order the
 // pre-sharding scan produced, so completion events get the same sequence
 // numbers regardless of how machines are partitioned.
@@ -173,28 +108,9 @@ func (f *Fleet) gatherComps() []*Job {
 	return out
 }
 
-// advanceSerial is the single-worker tick loop: every shard advanced on
-// the scheduler goroutine, stopping at the first tick that completes a
-// job. Quiescent windows are batched: when every machine is provably
-// event-free for k ticks the shards replay k ticks back to back instead
-// of looping one tick at a time.
-func (f *Fleet) advanceSerial(t float64) []*Job {
-	for f.now+f.eps() < t {
-		k := f.batchTicks(t)
-		for _, s := range f.shards {
-			s.advance(k, f.dt)
-		}
-		f.bumpClock(k)
-		if comps := f.gatherComps(); len(comps) > 0 {
-			return comps
-		}
-	}
-	return nil
-}
-
 // bumpClock advances the lockstep clock by k ticks, with the same one-dt-
-// at-a-time additions the per-tick loop performs so the clock value (and
-// every timestamp derived from it) is independent of the batch size.
+// at-a-time additions a tick-at-a-time loop performs so the clock value
+// (and every timestamp derived from it) is independent of the window size.
 func (f *Fleet) bumpClock(k int) {
 	for i := 0; i < k; i++ {
 		f.now += f.dt
@@ -203,12 +119,10 @@ func (f *Fleet) bumpClock(k int) {
 
 // tickPool is the bounded worker pool advancing shards in parallel:
 // worker w owns shards w, w+W, ... and sleeps on its wake channel between
-// batches. The wake message carries the batch size — 1 for a normal
-// barrier tick, k > 1 for a quiescent fast-forward window, so a batch
-// pays one barrier instead of k. The pool is created lazily by the first
-// parallel advance of a run() invocation and torn down when run()
-// returns, so its lifetime spans many inter-event advances instead of
-// one goroutine spawn per event gap.
+// windows. The wake message carries the window's tick count. The pool is
+// created lazily by the first window of a run() invocation that needs it
+// and torn down when run() returns, so its lifetime spans many
+// inter-event advances instead of one goroutine spawn per event gap.
 type tickPool struct {
 	wake []chan int
 	done chan int
@@ -224,9 +138,7 @@ func (f *Fleet) ensurePool() *tickPool {
 		p.wake[w] = make(chan int)
 		go func(w int) {
 			for k := range p.wake[w] {
-				for si := w; si < len(f.shards); si += nw {
-					f.shards[si].advance(k, f.dt)
-				}
+				f.runShards(w, k)
 				p.done <- w
 			}
 		}(w)
@@ -247,30 +159,50 @@ func (f *Fleet) stopPool() {
 	f.pool = nil
 }
 
-// advanceParallel runs the same loop as advanceSerial with the shards
-// spread over the worker pool. Each batch is a barrier: the scheduler
-// wakes every worker, each advances its shards the batch's tick count,
-// and the batch ends only when all have replied — so no shard ever runs
-// ahead of a tick at which an event could emerge, and completion events
-// are gathered from quiescent state. Normal operation batches one tick at
-// a time; quiescent windows batch k ticks and re-enter the barrier once.
-// Determinism does not depend on the worker count: shards share no state,
-// the clock advances on the scheduler goroutine, and gatherComps orders
-// completions by machine id.
-func (f *Fleet) advanceParallel(t float64) []*Job {
-	p := f.ensurePool()
+// runShards runs worker w's share of a k-tick window: shards w, w+W, ...
+// for W workers.
+func (f *Fleet) runShards(w, k int) {
+	for si := w; si < len(f.shards); si += f.workers {
+		f.shards[si].freeRun(k, f.dt)
+	}
+}
+
+// advanceTo is the fleet engine: it advances every shard until the clock
+// reaches t, one window at a time, stopping after the first window in
+// which any job completes; the newly completed jobs are returned so the
+// run loop can turn them into events. Each window is a barrier: its size
+// comes from lookaheadWindow, every shard free-runs that many ticks, and
+// only then do the clock and the completions move. With one worker the
+// shards run inline on the scheduler goroutine; otherwise the pool's
+// workers run them and the window ends when all have replied. Determinism
+// does not depend on the worker count: shards share no state, the clock
+// advances on the scheduler goroutine, and gatherComps orders completions
+// by machine id.
+func (f *Fleet) advanceTo(t float64) []*Job {
+	var comps []*Job
 	for f.now+f.eps() < t {
-		k := f.batchTicks(t)
-		for _, c := range p.wake {
-			c <- k
-		}
-		for i := 0; i < len(p.wake); i++ {
-			<-p.done
+		k := f.lookaheadWindow(t)
+		f.batches++
+		f.batchTicksSum += int64(k)
+		if f.workers == 1 {
+			f.runShards(0, k)
+		} else {
+			p := f.ensurePool()
+			for _, c := range p.wake {
+				c <- k
+			}
+			for range p.wake {
+				<-p.done
+			}
 		}
 		f.bumpClock(k)
-		if comps := f.gatherComps(); len(comps) > 0 {
-			return comps
+		if comps = f.gatherComps(); len(comps) > 0 {
+			break
 		}
 	}
-	return nil
+	// Shards mirror the clock for their stats snapshots.
+	for _, s := range f.shards {
+		s.now = f.now
+	}
+	return comps
 }

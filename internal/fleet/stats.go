@@ -15,10 +15,6 @@ type Stats struct {
 	MachinesUp int `json:"machines_up"`
 	Shards     int `json:"shards"`
 	Workers    int `json:"workers"`
-	// EngineVersion is the advance engine in force (1 = per-tick barrier
-	// reference, 2 = conservative-lookahead windowed; see
-	// Config.EngineVersion).
-	EngineVersion int `json:"engine_version"`
 	// SimTime is the current simulated time.
 	SimTime float64 `json:"sim_time"`
 
@@ -67,8 +63,8 @@ type Stats struct {
 	// A healthy steady-state fleet replays most ticks.
 	TickSolves  int64 `json:"tick_solves"`
 	TickReplays int64 `json:"tick_replays"`
-	// AdvanceBatches counts barrier-bound advance steps (each sized by
-	// batchTicks); AdvanceTicks is the total ticks those steps covered.
+	// AdvanceBatches counts advance windows (each sized by
+	// lookaheadWindow); AdvanceTicks is the total ticks they covered.
 	// Their ratio — the mean barrier-free window — measures how well the
 	// engine's horizon prediction amortizes the shard barrier: sharper
 	// horizons mean fewer, longer batches for the same tick sequence.
@@ -80,7 +76,7 @@ type Stats struct {
 
 // ShardStat is one shard's slice of the fleet counters, serialized by the
 // daemon's /shards endpoint. All fields are maintained by the scheduler or
-// behind the per-tick barrier, so a snapshot taken between Advance calls
+// behind the per-window barrier, so a snapshot taken between Advance calls
 // is consistent.
 type ShardStat struct {
 	// Shard is the shard id; Machines the global machine ids it owns.
@@ -117,7 +113,6 @@ func (f *Fleet) Stats() *Stats {
 		MachinesUp:     f.machinesUp(),
 		Shards:         len(f.shards),
 		Workers:        f.workers,
-		EngineVersion:  f.cfg.EngineVersion,
 		SimTime:        f.now,
 		Jobs:           len(f.jobs),
 		Evacuations:    f.evacuations,

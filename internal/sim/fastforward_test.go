@@ -187,14 +187,14 @@ func TestFastForwardEngages(t *testing.T) {
 	}
 }
 
-// TestAdvanceToQuiescentMatchesAdvanceTo drives two engines through the
-// same uneven advance schedule — one on the checked per-tick path, one on
-// the batched replay path — and demands identical clocks, progress and
-// completion times.
-func TestAdvanceToQuiescentMatchesAdvanceTo(t *testing.T) {
+// TestAdvanceToFastForwardMatchesNaive drives two engines through the
+// same uneven advance schedule — one on the naive solve-every-tick loop,
+// one greedily replaying memoized stretches — and demands identical
+// clocks, progress and completion times.
+func TestAdvanceToFastForwardMatchesNaive(t *testing.T) {
 	skipIfNoFF(t)
-	build := func() (*sim.Engine, *sim.App) {
-		e := sim.New(topology.MachineB(), sim.Config{Seed: 3})
+	build := func(disable bool) (*sim.Engine, *sim.App) {
+		e := sim.New(topology.MachineB(), sim.Config{Seed: 3, DisableFastForward: disable})
 		app := addApp(t, e, "a", ffSpec(40).WithInitPhase(1.1, 0.6), []topology.NodeID{0, 1},
 			testPlacer{"uniform-workers"})
 		if err := e.PlaceApp(app); err != nil {
@@ -202,11 +202,11 @@ func TestAdvanceToQuiescentMatchesAdvanceTo(t *testing.T) {
 		}
 		return e, app
 	}
-	ref, refApp := build()
-	fast, fastApp := build()
+	ref, refApp := build(true)
+	fast, fastApp := build(false)
 	for _, target := range []float64{0.5, 1.05, 2.0, 7.33, 30, 200} {
 		ref.AdvanceTo(target)
-		fast.AdvanceToQuiescent(target)
+		fast.AdvanceTo(target)
 		if ref.Now() != fast.Now() || ref.Ticks() != fast.Ticks() {
 			t.Fatalf("at target %v: clock %v/%d vs %v/%d",
 				target, ref.Now(), ref.Ticks(), fast.Now(), fast.Ticks())
@@ -221,8 +221,11 @@ func TestAdvanceToQuiescentMatchesAdvanceTo(t *testing.T) {
 	if refApp.FinishTime() != fastApp.FinishTime() {
 		t.Fatalf("finish %v vs %v", refApp.FinishTime(), fastApp.FinishTime())
 	}
+	if _, replays := ref.FastForwardStats(); replays != 0 {
+		t.Fatalf("naive engine replayed %d ticks", replays)
+	}
 	if _, replays := fast.FastForwardStats(); replays == 0 {
-		t.Fatal("AdvanceToQuiescent never replayed")
+		t.Fatal("AdvanceTo never replayed")
 	}
 	sameCounters(t, "a", refApp.Counters, fastApp.Counters)
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestCompletionHorizonNeverContainsACompletion pins the conservative-
-// lookahead bound the fleet's windowed engine is built on: ticks inside a
+// lookahead bound the fleet engine is built on: ticks inside a
 // predicted horizon must not complete any app, under full Step dynamics —
 // phase curves, init bursts, co-runners, migration backlogs — and with
 // fast-forward both on and off. The horizon needs no quiescence, so it is
@@ -135,7 +135,7 @@ func TestCompletionHorizonZeroWithHooks(t *testing.T) {
 	}
 }
 
-// TestSnapLatFeedbackConvergence pins the v2 bit-compat break's two
+// TestSnapLatFeedbackConvergence pins the fleet bit-compat break's two
 // claims: with SnapLatFeedback the engine replays strictly more ticks on
 // a perturbed workload (the sub-ULP latEpoch churn is gone), and the
 // simulated outcome moves by at most a hair — the multipliers freeze

@@ -110,9 +110,9 @@ type Config struct {
 	// practical purposes, and chasing the last few ULPs only keeps
 	// latEpoch churning, which blocks the replay path for dozens of ticks
 	// after every perturbation. This deliberately changes results at the
-	// last-ULP level relative to the default loop — a versioned
-	// bit-compat break, opted into by the fleet's engine v2 (DESIGN.md
-	// §12) and never enabled for the frozen v1 reference logs.
+	// last-ULP level relative to the default loop, so the paper's
+	// experiments leave it off; fleet.New turns it on for every machine
+	// (DESIGN.md §12).
 	SnapLatFeedback bool
 }
 
@@ -202,13 +202,13 @@ type App struct {
 
 	// Quiescence bookkeeping, recorded when the engine caches a flow solve:
 	// the placement epoch and phase factors the solve was built from, and
-	// the total progress (GB) at which the app's next phase boundary falls
-	// (+Inf when none). A replayed tick is valid only while these still
-	// describe the app.
-	solveASEpoch uint64
-	solvePhase   float64
-	solveKappa   float64
-	nextPhaseGB  float64
+	// the work fraction at which the app's next phase starts (+Inf when
+	// none). A replayed tick is valid only while these still describe the
+	// app.
+	solveASEpoch  uint64
+	solvePhase    float64
+	solveKappa    float64
+	nextPhaseFrac float64
 }
 
 // SharedSegment returns the app's shared-data segment (nil if the workload
@@ -462,8 +462,8 @@ type Result struct {
 // Run places every app, then ticks until all foreground apps complete (or
 // MaxTime elapses). It may be called once per engine. Quiescent stretches
 // are fast-forwarded: the cached flow solve is replayed tick by tick (bit-
-// identical to solving each tick) until the next phase boundary or the
-// analytically predicted completion.
+// identical to solving each tick) until the next completion or phase
+// crossing, which ReplayTicks detects exactly.
 func (e *Engine) Run() (*Result, error) {
 	if err := e.place(); err != nil {
 		return nil, err
@@ -473,10 +473,9 @@ func (e *Engine) Run() (*Result, error) {
 		if e.now >= e.Cfg.MaxTime {
 			return e.result(true), nil
 		}
-		if k := e.QuiescentTicks(e.ticksBefore(e.Cfg.MaxTime)); k > 0 && e.ReplayTicks(k) > 0 {
-			continue
+		if e.ReplayTicks(e.ticksBefore(e.Cfg.MaxTime)) == 0 {
+			e.tick()
 		}
-		e.tick()
 	}
 	return e.result(false), nil
 }
@@ -570,6 +569,21 @@ func (e *Engine) RemoveApp(a *App) error {
 // been placed (PlaceApp); unplaced apps are skipped.
 func (e *Engine) Step() { e.tick() }
 
+// AdvanceTicks advances exactly k ticks, greedily: memoized stretches run
+// through ReplayTicks, and every boundary between them (a phase or init
+// crossing, a completion, a stale solve) takes one full Step before the
+// replay path is tried again. Byte-identical to k Steps.
+func (e *Engine) AdvanceTicks(k int) {
+	for k > 0 {
+		if r := e.ReplayTicks(k); r > 0 {
+			k -= r
+			continue
+		}
+		e.tick()
+		k--
+	}
+}
+
 // AdvanceTo ticks until the engine clock reaches t (within half a tick).
 // It is the run-until-event primitive: a caller that knows the next
 // externally scheduled event advances to it, mutates the app set
@@ -581,31 +595,7 @@ func (e *Engine) Step() { e.tick() }
 // several ULPs over a long advance, and re-testing `now + DT/2 < t` per
 // tick made the tick count depend on that drift (over- or under-ticking
 // for large t).
-func (e *Engine) AdvanceTo(t float64) {
-	for n := e.remainingTicks(t); n > 0; n-- {
-		e.tick()
-	}
-}
-
-// AdvanceToQuiescent advances to time t exactly like AdvanceTo, but
-// fast-forwards quiescent stretches: while the tick inputs are provably
-// unchanged it replays the cached solve in a tight inner loop without
-// per-tick revalidation, stopping at the earliest invalidating boundary
-// (phase/init crossing, predicted completion) and resuming the checked
-// loop there. Byte-identical to AdvanceTo for any t.
-func (e *Engine) AdvanceToQuiescent(t float64) {
-	n := e.remainingTicks(t)
-	for n > 0 {
-		if k := e.QuiescentTicks(n); k > 0 {
-			if ran := e.ReplayTicks(k); ran > 0 {
-				n -= ran
-				continue
-			}
-		}
-		e.tick()
-		n--
-	}
-}
+func (e *Engine) AdvanceTo(t float64) { e.AdvanceTicks(e.remainingTicks(t)) }
 
 // remainingTicks returns how many ticks AdvanceTo(t) still has to run:
 // the count a drift-free `now + DT/2 < t` loop would execute.
@@ -621,8 +611,8 @@ func (e *Engine) remainingTicks(t float64) int {
 }
 
 // ticksBefore returns a conservative count of ticks that keep the clock
-// strictly below t — the bound Run hands to QuiescentTicks so a replay
-// batch never crosses MaxTime.
+// strictly below t — the bound Run hands to ReplayTicks so a replay batch
+// never crosses MaxTime.
 func (e *Engine) ticksBefore(t float64) int {
 	n := (t - e.now) / e.Cfg.DT
 	if !(n > 0) { // also catches NaN
@@ -835,12 +825,12 @@ func (e *Engine) noteSolve() {
 			continue
 		}
 		a.solveASEpoch = a.AS.PlacementEpoch()
-		a.nextPhaseGB = math.Inf(1)
+		a.nextPhaseFrac = math.Inf(1)
 		if len(a.Spec.Phases) > 0 && a.workGB > 0 {
 			frac := a.Progress() / a.workGB
 			for _, ph := range a.Spec.Phases {
 				if ph.AtWorkFraction > frac {
-					a.nextPhaseGB = ph.AtWorkFraction * a.workGB
+					a.nextPhaseFrac = ph.AtWorkFraction
 					break
 				}
 			}
@@ -986,9 +976,11 @@ func (e *Engine) advanceApps() bool {
 				// A departed flow set invalidates the cached solve.
 				e.stateEpoch++
 				boundary = true
-			} else if a.Progress() >= a.nextPhaseGB {
+			} else if a.Progress()/a.workGB >= a.nextPhaseFrac {
 				// Crossed into the next phase: the following tick's demand
-				// factors change, so a replay batch must stop here.
+				// factors change, so a replay batch must stop here. The
+				// test is PhaseAt's own expression, so the two can never
+				// disagree in the last ULP.
 				boundary = true
 			}
 		}
@@ -1036,9 +1028,9 @@ const latSnapRel = 0x1p-46
 // hits a boundary — an app completing or crossing a phase threshold, both
 // detected exactly from the live progress values — and returns the number
 // of ticks advanced. 0 means the engine is not replayable right now
-// (stale solve, hooks registered, or an app inside its init burst);
-// callers fall back to Step. Every tick it advances is byte-identical to
-// a full Step.
+// (stale solve, hooks registered, an app inside its init burst, or
+// DisableFastForward); callers fall back to Step. Every tick it advances
+// is byte-identical to a full Step.
 func (e *Engine) ReplayTicks(n int) int {
 	if n <= 0 || !e.ff || len(e.hooks) > 0 || !e.canReplay() {
 		return 0
@@ -1062,66 +1054,6 @@ func (e *Engine) ReplayTicks(n int) int {
 	return n
 }
 
-// QuiescentTicks returns a conservative count of upcoming ticks (at most
-// max) that are provably interior to the current quiescent interval: the
-// cached solve replays, no app completes, and no phase or init boundary is
-// crossed. The fleet layer uses it to advance whole machines without
-// re-entering the per-tick shard barrier. 0 means "not quiescent" (or a
-// boundary is too close to be worth batching past the checked loop).
-//
-// Completion and phase crossings are predicted analytically from the
-// constant per-tick progress deltas, shaved by a relative safety margin
-// (1e-9, plus two ticks) that dominates worst-case floating-point
-// accumulation drift for any realistic run length; the replay loop's exact
-// per-tick boundary checks backstop the prediction regardless.
-func (e *Engine) QuiescentTicks(limit int) int {
-	if limit <= 0 || !e.ff || len(e.hooks) > 0 || !e.canReplay() {
-		return 0
-	}
-	// Cap each batch so the within-batch float accumulation (≤ batch ×
-	// ulp(share)/2 in progress units) stays orders of magnitude below the
-	// boundaryTicks margin even for extremely slow workers; longer
-	// quiescent spans simply take several batches, each re-predicted from
-	// the live float state.
-	n := min(limit, 1<<20)
-	dt := e.Cfg.DT
-	for _, a := range e.apps {
-		if a.done || !a.placed {
-			continue
-		}
-		if e.inInit(a) {
-			return 0
-		}
-		if a.Background {
-			continue // no progress, no completion, constant phase factors
-		}
-		rawRatio := e.tickRawRatio[a.index]
-		eta := a.Spec.ParallelEfficiency(len(a.Workers))
-		// Replay ticks add a constant delta per worker (identical rates;
-		// migration cost only ever slows progress further, so these deltas
-		// upper-bound it and the tick predictions stay lower bounds).
-		if len(a.Spec.Phases) > 0 && a.workGB > 0 && !math.IsInf(a.nextPhaseGB, 1) {
-			total := 0.0
-			for wi := range a.Workers {
-				total += a.tickByWorker[wi] * rawRatio * eta * dt
-			}
-			n = min(n, boundaryTicks(a.nextPhaseGB-a.Progress(), total))
-		}
-		// Completion fires when the slowest worker reaches its share, so
-		// the largest per-worker lower bound bounds the completion tick.
-		share := a.workGB / float64(len(a.Workers))
-		comp := 0
-		for wi := range a.Workers {
-			if p := a.progressGB[wi]; p < share {
-				delta := a.tickByWorker[wi] * rawRatio * eta * dt
-				comp = max(comp, boundaryTicks(share-p, delta))
-			}
-		}
-		n = min(n, comp)
-	}
-	return n
-}
-
 // CompletionHorizonTicks returns a conservative count of upcoming ticks
 // (at most limit) that provably cannot complete any foreground app, no
 // matter what the flow solver does in between. Solved rates are
@@ -1131,18 +1063,19 @@ func (e *Engine) QuiescentTicks(limit int) int {
 // demand under the worst demand factor actually reachable within the
 // window (see appCompletionHorizon), and completion (every worker at its
 // share) cannot fire before the slowest worker's gap divided by that
-// bound. Unlike QuiescentTicks this needs no quiescence: solves,
-// placement changes, phase and init crossings may all happen inside the
-// horizon; only completions cannot. 0 means a completion may be imminent,
-// or hooks could mutate apps mid-window. The fleet's
-// conservative-lookahead engine (DESIGN.md §12) sizes its barrier-free
-// windows with this bound.
+// bound. This needs no quiescence: solves, placement changes, phase and
+// init crossings may all happen inside the horizon; only completions
+// cannot. 0 means a completion may be imminent, or hooks could mutate
+// apps mid-window. The fleet engine (DESIGN.md §12) sizes its
+// barrier-free windows with this bound.
 func (e *Engine) CompletionHorizonTicks(limit int) int {
 	if limit <= 0 || len(e.hooks) > 0 {
 		return 0
 	}
-	// Same batch cap as QuiescentTicks: within-window float accumulation
-	// must stay far below the boundaryTicks margin.
+	// Cap each window so the within-window float accumulation (≤ window ×
+	// ulp(share)/2 in progress units) stays orders of magnitude below the
+	// boundaryTicks margin even for extremely slow workers; longer spans
+	// simply take several windows, each re-bounded from the live state.
 	n := min(limit, 1<<20)
 	for _, a := range e.apps {
 		if a.done || !a.placed || a.Background {
@@ -1246,7 +1179,9 @@ func (e *Engine) appCompletionHorizon(a *App, limit int) int {
 }
 
 // boundaryTicks lower-bounds how many constant-delta ticks fit strictly
-// below gap, with the safety margin described at QuiescentTicks.
+// below gap. The prediction is shaved by a relative safety margin (1e-9,
+// plus two ticks) that dominates worst-case floating-point accumulation
+// drift for any realistic run length.
 func boundaryTicks(gap, delta float64) int {
 	if !(delta > 0) || !(gap > 0) {
 		return 1 << 40 // no progress toward the boundary: never reached

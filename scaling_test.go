@@ -1,8 +1,8 @@
 // The multi-core scaling gate: a hard pass/fail wrapper around the
 // BenchmarkFleetThroughputSharded axis, run only by the CI multicore job
 // (GOMAXPROCS >= 4). Benchmarks report numbers; this test enforces one —
-// under the conservative-lookahead engine, 4 shards must beat 1 shard in
-// wall time on the identical warm-cache stream.
+// 4 shards must beat 1 shard in wall time on the identical warm-cache
+// stream.
 package bwap_test
 
 import (
@@ -14,8 +14,8 @@ import (
 	"bwap"
 )
 
-// TestShardScalingMultiCoreGate fails if the windowed engine does not
-// scale with shards. Guarded by BWAP_SCALING_TEST=1 so single-core
+// TestShardScalingMultiCoreGate fails if the fleet engine does not scale
+// with shards. Guarded by BWAP_SCALING_TEST=1 so single-core
 // development machines and the reference CI job skip it: on one core the
 // shard counts tie modulo overhead and the comparison is meaningless.
 func TestShardScalingMultiCoreGate(t *testing.T) {
@@ -36,13 +36,12 @@ func TestShardScalingMultiCoreGate(t *testing.T) {
 	run := func(shards int) time.Duration {
 		start := time.Now()
 		f, err := bwap.NewFleet(bwap.FleetConfig{
-			Machines:      8,
-			Shards:        shards,
-			Workers:       shards,
-			EngineVersion: 2,
-			SimCfg:        bwap.Config{Seed: 1},
-			Seed:          1,
-			Cache:         cache,
+			Machines: 8,
+			Shards:   shards,
+			Workers:  shards,
+			SimCfg:   bwap.Config{Seed: 1},
+			Seed:     1,
+			Cache:    cache,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -73,9 +72,9 @@ func TestShardScalingMultiCoreGate(t *testing.T) {
 		return b
 	}
 	t1, t4 := best(1), best(4)
-	t.Logf("engine v2 wall time: 1 shard %v, 4 shards %v (%.2fx)", t1, t4, float64(t1)/float64(t4))
+	t.Logf("wall time: 1 shard %v, 4 shards %v (%.2fx)", t1, t4, float64(t1)/float64(t4))
 	if t4 >= t1 {
-		t.Fatalf("4 shards (%v) not faster than 1 shard (%v) under engine v2 on a %d-CPU runner",
+		t.Fatalf("4 shards (%v) not faster than 1 shard (%v) on a %d-CPU runner",
 			t4, t1, runtime.NumCPU())
 	}
 }
@@ -100,13 +99,12 @@ func TestProbeBurstMultiCoreGate(t *testing.T) {
 	run := func(probeWorkers int) time.Duration {
 		start := time.Now()
 		f, err := bwap.NewFleet(bwap.FleetConfig{
-			Machines:      8,
-			Shards:        2,
-			Workers:       2,
-			EngineVersion: 2,
-			ProbeWorkers:  probeWorkers,
-			SimCfg:        bwap.Config{Seed: 1},
-			Seed:          1,
+			Machines:     8,
+			Shards:       2,
+			Workers:      2,
+			ProbeWorkers: probeWorkers,
+			SimCfg:       bwap.Config{Seed: 1},
+			Seed:         1,
 		})
 		if err != nil {
 			t.Fatal(err)
