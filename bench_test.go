@@ -370,8 +370,8 @@ func probeBurstStreams(n int) []bwap.StreamSpec {
 // BenchmarkColdCacheProbeBurst measures the speculative probe pool on its
 // target scenario: a cold cache hit by a burst of distinct workload
 // classes, where every admission owes a probe mini-sim. Each iteration
-// builds a fresh fleet with a fresh private cache, so nothing is ever
-// warm; the sub-benchmarks differ only in pool width. On a multi-core
+// builds a fresh fleet with a fresh cache, so nothing is ever warm; the
+// sub-benchmarks differ only in pool width. On a multi-core
 // runner probe-workers=4 overlaps up to four probes with the scheduler
 // and beats probe-workers=1 (enforced by TestProbeBurstMultiCoreGate in
 // CI); the event logs are byte-identical either way.
@@ -383,12 +383,12 @@ func BenchmarkColdCacheProbeBurst(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				f, err := bwap.NewFleet(bwap.FleetConfig{
-					Machines:     8,
-					Shards:       2,
-					Workers:      2,
-					ProbeWorkers: pw,
-					SimCfg:       bwap.Config{Seed: 1},
-					Seed:         1,
+					Machines: 8,
+					Shards:   2,
+					Workers:  2,
+					SimCfg:   bwap.Config{Seed: 1},
+					Seed:     1,
+					Cache:    bwap.NewTuningCache(bwap.Config{Seed: 1}, 0, 1, bwap.ProbeWorkers(pw)),
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -334,8 +334,8 @@ func NewFleetServer(f *Fleet) *FleetServer { return fleet.NewServer(f) }
 func NewFleetObserver(cfg FleetObserverConfig) *FleetObserver { return fleet.NewObserver(cfg) }
 
 // NewTuningCache returns a tuning cache shareable across fleets and
-// daemons. By default failed probes are forgotten (retried on the next
-// lookup) and the cache is unbounded; see CacheMaxEntries and CacheErrors.
+// daemons. Failed probes are forgotten (retried on the next lookup) and
+// the cache is unbounded unless CacheMaxEntries bounds it.
 func NewTuningCache(simCfg Config, probeScale float64, seed uint64, opts ...TuningCacheOption) *TuningCache {
 	return fleet.NewTuningCache(simCfg, probeScale, seed, opts...)
 }
@@ -343,10 +343,6 @@ func NewTuningCache(simCfg Config, probeScale float64, seed uint64, opts ...Tuni
 // CacheMaxEntries bounds a tuning cache's placement entries with LRU
 // eviction (n <= 0 keeps it unbounded).
 func CacheMaxEntries(n int) TuningCacheOption { return fleet.CacheMaxEntries(n) }
-
-// CacheErrors memoizes failed probes forever — the strict first-outcome-
-// is-the-outcome behaviour replay determinism wants.
-func CacheErrors() TuningCacheOption { return fleet.CacheErrors() }
 
 // ProbeWorkers sizes the cache's speculative probe pool: n > 0 allows n
 // concurrent background probes, n == 0 defaults to GOMAXPROCS, n < 0

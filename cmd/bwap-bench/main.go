@@ -1,11 +1,11 @@
 // bwap-bench runs the repository's root benchmarks and emits a
 // machine-readable JSON snapshot (ns/op, B/op, allocs/op), so the
-// performance trajectory is tracked across PRs. CI runs it with a short
-// -benchtime; the default output name BENCH_7.json follows the PR number.
+// performance trajectory is tracked across snapshots. CI runs it with a
+// short -benchtime. The JSON goes to stdout unless -out names a file.
 //
 // Usage:
 //
-//	bwap-bench                                  # all root benchmarks -> BENCH_7.json
+//	bwap-bench                                  # all root benchmarks -> stdout
 //	bwap-bench -bench 'FleetThroughputSharded' -out BENCH_7.json
 //	bwap-bench -bench 'EngineTick|Solver' -benchtime 10x -out bench.json
 package main
@@ -44,7 +44,7 @@ func main() {
 	bench := flag.String("bench", ".", "benchmark regex passed to go test -bench")
 	benchtime := flag.String("benchtime", "1x", "value for go test -benchtime")
 	pkgs := flag.String("pkgs", "bwap", "packages whose benchmarks to run")
-	out := flag.String("out", "BENCH_7.json", "output JSON path")
+	out := flag.String("out", "", "output JSON path (default stdout)")
 	flag.Parse()
 
 	args := []string{"test", "-run", "^$", "-bench", *bench, "-benchmem", "-benchtime", *benchtime}
@@ -81,6 +81,13 @@ func main() {
 		os.Exit(1)
 	}
 	data = append(data, '\n')
+	if *out == "" {
+		if _, err := os.Stdout.Write(data); err != nil {
+			fmt.Fprintf(os.Stderr, "bwap-bench: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "bwap-bench: %v\n", err)
 		os.Exit(1)

@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	figs := flag.String("fig", "", "comma-separated figures: 1a,1b,2,3a,3b,3c,3d,4,ovh,abl,dyn,fleet,shards,replay,ff,chaos,obs (beyond-paper fleet scenarios)")
+	figs := flag.String("fig", "", "comma-separated figures: 1a,1b,2,3a,3b,3c,3d,4,ovh,abl,dyn,fleet,replay,chaos (beyond-paper fleet scenarios)")
 	tables := flag.String("table", "", "comma-separated tables: 1,2")
 	all := flag.Bool("all", false, "run every figure and table")
 	quick := flag.Bool("quick", false, "reduced seeds, work volumes and search budgets")
@@ -42,7 +42,7 @@ func main() {
 		}
 	}
 	if *all {
-		for _, id := range []string{"fig1a", "fig1b", "table1", "fig2", "fig3a", "fig3b", "fig3c", "fig3d", "table2", "fig4", "figovh", "figabl", "figdyn", "figfleet", "figshards", "figreplay", "figff", "figchaos", "figobs"} {
+		for _, id := range []string{"fig1a", "fig1b", "table1", "fig2", "fig3a", "fig3b", "fig3c", "fig3d", "table2", "fig4", "figovh", "figabl", "figdyn", "figfleet", "figreplay", "figchaos"} {
 			want[id] = true
 		}
 	}
@@ -141,25 +141,13 @@ func main() {
 		f, err := experiments.RunFleet(*quick)
 		return render(f, err)
 	})
-	run("figshards", func() (fmt.Stringer, error) {
-		s, err := experiments.RunShardScaling(*quick)
-		return render(s, err)
-	})
 	run("figreplay", func() (fmt.Stringer, error) {
 		r, err := experiments.RunReplay(*quick)
-		return render(r, err)
-	})
-	run("figff", func() (fmt.Stringer, error) {
-		r, err := experiments.RunFastForward(*quick)
 		return render(r, err)
 	})
 	run("figchaos", func() (fmt.Stringer, error) {
 		c, err := experiments.RunChaos(*quick)
 		return render(c, err)
-	})
-	run("figobs", func() (fmt.Stringer, error) {
-		o, err := experiments.RunObs(*quick)
-		return render(o, err)
 	})
 }
 

@@ -71,6 +71,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	_ "net/http/pprof" // -pprof: registers /debug/pprof on the default mux
 	"os"
@@ -115,6 +116,12 @@ func main() {
 	var lvl slog.Level
 	if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
 		fmt.Fprintf(os.Stderr, "bwapd: bad -log-level %q (want debug, info, warn or error)\n", *logLevel)
+		os.Exit(2)
+	}
+	// Only a positive, finite rate drives the clock: Fleet.Advance refuses
+	// negative and non-finite steps, and a zero rate never moves it.
+	if !(*simRate > 0) || math.IsInf(*simRate, 1) {
+		fmt.Fprintf(os.Stderr, "bwapd: -sim-rate %g must be positive and finite\n", *simRate)
 		os.Exit(2)
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
@@ -188,23 +195,21 @@ func main() {
 	}
 
 	cfg := fleet.Config{
-		Machines:       *machines,
-		Shards:         *shards,
-		Workers:        *shardWorkers,
-		Routing:        *routing,
-		Admission:      *admission,
-		NewMachine:     newMachine,
-		SimCfg:         sim.Config{Seed: *seed},
-		Policy:         *policy,
-		RetuneDelay:    *retune,
-		MaxQueue:       *maxQueue,
-		Faults:         faults,
-		MaxRetries:     *maxRetries,
-		Seed:           *seed,
-		ProbeWorkScale: *probeScale,
-		ProbeWorkers:   *probeWorkers,
-		LogRetention:   *logRetention,
-		Cache:          cache,
+		Machines:     *machines,
+		Shards:       *shards,
+		Workers:      *shardWorkers,
+		Routing:      *routing,
+		Admission:    *admission,
+		NewMachine:   newMachine,
+		SimCfg:       sim.Config{Seed: *seed},
+		Policy:       *policy,
+		RetuneDelay:  *retune,
+		MaxQueue:     *maxQueue,
+		Faults:       faults,
+		MaxRetries:   *maxRetries,
+		Seed:         *seed,
+		LogRetention: *logRetention,
+		Cache:        cache,
 	}
 
 	// Telemetry applies to serve and replay runs alike. The observer only
@@ -289,7 +294,9 @@ func main() {
 	srv.Log = logger
 	srv.Start()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// A client that trickles its headers must not hold a connection open
+	// indefinitely.
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	drained := make(chan struct{})

@@ -3,6 +3,7 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -28,8 +29,6 @@ func TestFig1aReproducesPaperMatrix(t *testing.T) {
 	}
 }
 
-// TestFig1bShape: the Section II claims — the offline search beats every
-// baseline; first-touch is the worst of the three for multi-worker runs.
 // checkFrozen pins rendered experiment output to a recorded SHA-256, so a
 // change to the placement machinery underneath (the weighted walk, the
 // experiment pool) that moves any printed digit fails loudly.
@@ -41,15 +40,29 @@ func checkFrozen(t *testing.T, name, out, want string) {
 	}
 }
 
-func TestFig1bShape(t *testing.T) {
+// quickMachineA is the quick Machine A profile, optionally on the naive
+// solve-every-tick engine loop — the reference the frozen renders must
+// match with fast-forward on and off.
+func quickMachineA(disableFF bool) *Profile {
 	p := MachineA().Quick()
-	f, err := RunFig1b(p)
-	if err != nil {
-		t.Fatal(err)
+	p.SimCfg.DisableFastForward = disableFF
+	return p
+}
+
+// TestFig1bShape: the Section II claims — the offline search beats every
+// baseline; first-touch is the worst of the three for multi-worker runs.
+func TestFig1bShape(t *testing.T) {
+	var f *Fig1b
+	for _, disableFF := range []bool{true, false} {
+		var err error
+		if f, err = RunFig1b(quickMachineA(disableFF)); err != nil {
+			t.Fatal(err)
+		}
+		// Recorded under the per-page walk from page 0 that the checkpointed
+		// walk replaced.
+		checkFrozen(t, fmt.Sprintf("quick Fig 1b (DisableFastForward=%v)", disableFF), f.Render(),
+			"f1376170dc92f7ecd60df77d584c902f6aebf7b9347bfe403f08561ae81c949b")
 	}
-	// Recorded under the per-page walk from page 0 that the checkpointed walk
-	// replaced.
-	checkFrozen(t, "quick Fig 1b", f.Render(), "f1376170dc92f7ecd60df77d584c902f6aebf7b9347bfe403f08561ae81c949b")
 	if len(f.Rows) != 5 {
 		t.Fatalf("%d rows", len(f.Rows))
 	}
@@ -293,14 +306,17 @@ func TestOverheadWithinBounds(t *testing.T) {
 // TestKernelVsUserAblation: Section IV — the user-level Algorithm 1 costs
 // at most ~3% against the kernel-level weighted interleave.
 func TestKernelVsUserAblation(t *testing.T) {
-	p := MachineA().Quick()
-	a, err := RunKernelVsUserAblation(p, 2)
-	if err != nil {
-		t.Fatal(err)
+	var a *Ablation
+	for _, disableFF := range []bool{true, false} {
+		var err error
+		if a, err = RunKernelVsUserAblation(quickMachineA(disableFF), 2); err != nil {
+			t.Fatal(err)
+		}
+		// Recorded under the per-page walk from page 0 that the checkpointed
+		// walk replaced.
+		checkFrozen(t, fmt.Sprintf("quick kernel-vs-user ablation (DisableFastForward=%v)", disableFF), a.Render(),
+			"f67b43b60f2175b6524168d9bbb70d87bc9014e242cce074b1ff1d6660764e53")
 	}
-	// Recorded under the per-page walk from page 0 that the checkpointed walk
-	// replaced.
-	checkFrozen(t, "quick kernel-vs-user ablation", a.Render(), "f67b43b60f2175b6524168d9bbb70d87bc9014e242cce074b1ff1d6660764e53")
 	if gap := a.MaxAbsGapPct(); gap > 3 {
 		t.Errorf("kernel-vs-user gap %.2f%%, want <= 3%%", gap)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"os"
 	"testing"
 
 	"bwap/internal/workload"
@@ -38,9 +37,6 @@ func TestEngineReplayShardWorkerEquivalence(t *testing.T) {
 // most of their ticks instead of chasing sub-ULP feedback drift after
 // every perturbation (latEpoch churn blocks the replay path).
 func TestEngineReplaysMoreTicks(t *testing.T) {
-	if ffForcedOffEnv(t) {
-		return
-	}
 	_, stats := runFleet(t, shardConfig(PolicyBWAP, AdmitMostFree, 2, 2, 7), shardStreams())
 	total := stats.TickSolves + stats.TickReplays
 	if total == 0 {
@@ -57,17 +53,6 @@ func TestEngineReplaysMoreTicks(t *testing.T) {
 		t.Fatalf("run completed %d of %d jobs", stats.Completed, stats.Jobs)
 	}
 	t.Logf("replay fraction %.3f", fraction)
-}
-
-// ffForcedOffEnv skips comparisons that are vacuous (or wrong by design)
-// when BWAP_NO_FASTFORWARD forces the naive loop for the whole run.
-func ffForcedOffEnv(t *testing.T) bool {
-	t.Helper()
-	if os.Getenv("BWAP_NO_FASTFORWARD") == "1" {
-		t.Log("BWAP_NO_FASTFORWARD=1: replay-path comparison skipped")
-		return true
-	}
-	return false
 }
 
 // TestEnginePhaseAwareHorizon pins the fleet-visible effect of the
@@ -118,12 +103,18 @@ func TestEnginePhaseAwareHorizon(t *testing.T) {
 // config and stream is frozen across changes, so any drift in the
 // simulated semantics — however the advance machinery evolves — fails
 // loudly rather than silently moving the reference. The same bytes come
-// out at any shard count and with fast-forward off.
+// out at 1, 2 and 4 shards, each with fast-forward on and off (the naive
+// solve-every-tick loop is the reference the replay path must match).
 func TestEngineLogFrozen(t *testing.T) {
-	f, _ := runFleet(t, chaosShardConfig(2, 2, false), shardStreams())
-	sum := sha256.Sum256(f.LogBytes())
 	const want = "5b3684cc48ddc2c5f0d5c5b3e627310c0ba9b38068b09f56faa4dadfe2c75c35"
-	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Fatalf("reference log hash drifted:\n got %s\nwant %s", got, want)
+	for _, n := range []int{1, 2, 4} {
+		for _, disableFF := range []bool{false, true} {
+			f, _ := runFleet(t, chaosShardConfig(n, n, disableFF), shardStreams())
+			sum := sha256.Sum256(f.LogBytes())
+			if got := hex.EncodeToString(sum[:]); got != want {
+				t.Fatalf("shards=workers=%d disableFF=%v: reference log hash drifted:\n got %s\nwant %s",
+					n, disableFF, got, want)
+			}
+		}
 	}
 }

@@ -62,10 +62,7 @@ type event struct {
 	mach int  // machine-scoped kinds (completion, retune, crash, drain, recover); -1 otherwise
 }
 
-// eventLess is the scheduling order: (t, kind, seq). Sequence numbers are
-// assigned from one fleet-global counter, so comparing the tops of several
-// shard heaps with eventLess yields the exact order a single merged heap
-// would produce.
+// eventLess is the scheduling order: (t, kind, seq).
 func eventLess(a, b *event) bool {
 	if a.t != b.t {
 		return a.t < b.t

@@ -112,63 +112,3 @@ func TestEventHeapSeqBreaksTimeKindTies(t *testing.T) {
 		}
 	}
 }
-
-// TestPeekNextMatchesSingleHeap is the cross-shard merge property: pushing
-// a random event mix through a fleet partitioned into 1..4 shard heaps
-// (plus the router-level arrival heap, exactly as Fleet.push routes kinds)
-// and draining via peekNext must reproduce the pop order of one merged
-// heap — the (t, kind, seq) contract every shard-invariance test builds on.
-func TestPeekNextMatchesSingleHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	times := []float64{0, 0.5, 0.5, 1, 3, 3}
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(80)
-		type pushArg struct {
-			t    float64
-			kind eventKind
-			mach int
-		}
-		pushes := make([]pushArg, n)
-		for i := range pushes {
-			pushes[i] = pushArg{
-				t:    times[rng.Intn(len(times))],
-				kind: eventKind(rng.Intn(8)),
-				mach: rng.Intn(6),
-			}
-		}
-
-		// Reference: every event in one heap, popped to exhaustion.
-		var single eventHeap
-		for i, p := range pushes {
-			heap.Push(&single, &event{t: p.t, kind: p.kind, seq: i + 1, mach: p.mach})
-		}
-		var want []*event
-		for single.Len() > 0 {
-			want = append(want, heap.Pop(&single).(*event))
-		}
-
-		for shards := 1; shards <= 4; shards++ {
-			f := &Fleet{shards: make([]*shard, shards)}
-			for s := range f.shards {
-				f.shards[s] = &shard{id: s}
-			}
-			for _, p := range pushes {
-				f.push(p.t, p.kind, nil, p.mach)
-			}
-			for i, w := range want {
-				ev, from := f.peekNext()
-				if ev == nil {
-					t.Fatalf("trial %d/%d shards: heaps dry after %d of %d pops", trial, shards, i, len(want))
-				}
-				if ev.t != w.t || ev.kind != w.kind || ev.seq != w.seq {
-					t.Fatalf("trial %d/%d shards: pop %d = (t=%v kind=%v seq=%d), single heap gives (t=%v kind=%v seq=%d)",
-						trial, shards, i, ev.t, ev.kind, ev.seq, w.t, w.kind, w.seq)
-				}
-				heap.Pop(from)
-			}
-			if ev, _ := f.peekNext(); ev != nil {
-				t.Fatalf("trial %d/%d shards: events left after the reference drained", trial, shards)
-			}
-		}
-	}
-}

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"os"
 	"testing"
 
 	"bwap/internal/sim"
@@ -13,7 +12,7 @@ import (
 // count, the merged JSONL event log must be byte-identical with
 // fast-forward on and off. The on-path batches barrier-free replay windows
 // and memoizes per-machine solves; the off-path is the naive
-// solve-every-tick reference kept alive by BWAP_NO_FASTFORWARD=1.
+// solve-every-tick reference kept alive by sim.Config.DisableFastForward.
 
 func ffShardConfig(routing string, shards int, disable bool) Config {
 	cfg := shardConfig(PolicyFirstTouch, AdmitMostFree, shards, shards, 29)
@@ -26,9 +25,6 @@ func ffShardConfig(routing string, shards int, disable bool) Config {
 // routing policies at 1, 2 and 4 shards, fast-forward on vs. off,
 // byte-identical logs and identical headline stats.
 func TestFastForwardFleetEquivalence(t *testing.T) {
-	if os.Getenv("BWAP_NO_FASTFORWARD") == "1" {
-		t.Skip("BWAP_NO_FASTFORWARD=1 forces the naive path everywhere; on-vs-off comparison would be vacuous")
-	}
 	for _, routing := range []string{RouteLeastLoaded, RouteHashAffinity, RouteRoundRobin} {
 		t.Run(routing, func(t *testing.T) {
 			for _, shards := range []int{1, 2, 4} {
@@ -56,7 +52,8 @@ func TestFastForwardFleetEquivalence(t *testing.T) {
 // TestFastForwardFleetEquivalenceBWAP covers the DWP policy path — cache
 // hits, coalesced retunes (placement churn mid-run) and migration backlog
 // draining — against a shared pre-warmed cache, so the dwp/cache_hit log
-// fields are exercised too.
+// fields are exercised too. The naive run must replay no tick and the
+// fast-forward run must replay some, or the equivalence is vacuous.
 func TestFastForwardFleetEquivalenceBWAP(t *testing.T) {
 	var base []byte
 	for _, disable := range []bool{true, false} {
@@ -72,6 +69,12 @@ func TestFastForwardFleetEquivalenceBWAP(t *testing.T) {
 		f, stats := runFleet(t, cfg, shardStreams())
 		if stats.CacheMisses != 0 {
 			t.Fatalf("disable=%v: %d probes against a warm cache", disable, stats.CacheMisses)
+		}
+		if disable && stats.TickReplays != 0 {
+			t.Fatalf("naive run replayed %d ticks", stats.TickReplays)
+		}
+		if !disable && stats.TickReplays == 0 {
+			t.Fatal("fast-forward run never replayed a tick")
 		}
 		if base == nil {
 			base = f.LogBytes()

@@ -3,31 +3,28 @@
 // workload specs with arrival processes and durations — across a fleet of
 // simulated NUMA machines.
 //
-// The fleet is partitioned into shards, each with its own event heap,
-// clock and machine set. Within a shard every machine is one sim.Engine
-// advanced in lockstep with the others (identical tick length), so
-// co-located jobs contend exactly as they do in the single-run
-// experiments; across shards a bounded worker pool advances every shard
-// concurrently, which is the daemon's multi-core scaling axis. Jobs never
-// cross shards once placed, so the lockstep invariant holds per shard and
-// the merged event log is bit-identical for a given seed regardless of
-// the shard and worker counts.
+// The fleet's machines are partitioned into shards. Every machine is one
+// sim.Engine advanced in lockstep with the others (identical tick length),
+// so co-located jobs contend exactly as they do in the single-run
+// experiments; a bounded worker pool advances the shards concurrently,
+// which is the daemon's multi-core scaling axis. Jobs never cross shards
+// once placed, and the event log is bit-identical for a given seed
+// regardless of the shard and worker counts.
 //
-// The scheduler pops events off the shard heaps (and a router-level
-// arrival heap) in global (timestamp, event kind, push sequence) order;
-// between events it advances every shard in windows no longer than the
-// next scheduled event and every machine's completion horizon allow, with
-// one barrier per window, stopping after the window in which any job
-// completes so the completion becomes an event of its own. A routing tier
-// assigns each admission attempt to a shard (Config.Routing: least-loaded,
-// hash-affinity, round-robin) and an AdmissionPolicy picks the node set on
-// the chosen machine (Config.Admission: most-free, best-bandwidth,
-// anti-affinity); jobs that do not fit wait in an arrival-ordered queue
-// and are backfilled as capacity frees up. Under the bwap policy,
-// placement consults the TuningCache — repeated jobs skip re-profiling —
-// and churn (an arrival or departure on a machine) schedules a coalesced
-// retune event that re-places the survivors for their new co-runner
-// count.
+// The scheduler pops events off one fleet event heap in (timestamp, event
+// kind, push sequence) order; between events it advances every shard in
+// windows no longer than the next scheduled event and every machine's
+// completion horizon allow, with one barrier per window, stopping after
+// the window in which any job completes so the completion becomes an event
+// of its own. A routing tier assigns each admission attempt to a shard
+// (Config.Routing: least-loaded, hash-affinity, round-robin) and an
+// AdmissionPolicy picks the node set on the chosen machine
+// (Config.Admission: most-free, best-bandwidth, anti-affinity); jobs that
+// do not fit wait in an arrival-ordered queue and are backfilled as
+// capacity frees up. Under the bwap policy, placement consults the
+// TuningCache — repeated jobs skip re-profiling — and churn (an arrival or
+// departure on a machine) schedules a coalesced retune event that
+// re-places the survivors for their new co-runner count.
 //
 // Every decision is appended to a JSONL event log; the same
 // configuration, seed and job stream reproduce the log bit for bit.
@@ -119,16 +116,6 @@ type Config struct {
 	RetryBackoffCap float64
 	// Seed derives the arrival streams, engine seeds and probe seeds.
 	Seed uint64
-	// ProbeWorkScale scales tuning-probe work volumes (default
-	// DefaultProbeWorkScale); only used when Cache is nil.
-	ProbeWorkScale float64
-	// ProbeWorkers sizes the asynchronous probe pool of the private tuning
-	// cache (only used when Cache is nil; a shared Cache carries its own
-	// pool): >= 1 bounds concurrent speculative probes, 0 selects
-	// GOMAXPROCS, < 0 disables prefetching so every probe runs inside the
-	// admission that demands it. Purely a throughput knob — the event log
-	// is byte-identical for any value (TestProbePoolDeterminism).
-	ProbeWorkers int
 	// LogRetention bounds the in-memory mirror of the event log: 0 (the
 	// default) retains every record, n > 0 retains only the most recent n
 	// records, and n < 0 disables the mirror entirely. The streaming LogW
@@ -139,7 +126,9 @@ type Config struct {
 	// record once trimming starts.
 	LogRetention int
 	// Cache optionally shares a TuningCache across fleets (and with a
-	// daemon); nil builds a private one from SimCfg/ProbeWorkScale/Seed.
+	// daemon); nil builds a private one from SimCfg and Seed with the
+	// default probe scale and pool. Probe tuning (NewTuningCache's
+	// probeScale, the ProbeWorkers option) is configured on the cache.
 	Cache *TuningCache
 	// LogW optionally mirrors every event-log line as it is written.
 	LogW io.Writer
@@ -358,7 +347,7 @@ type Fleet struct {
 	retries     int
 	failedJobs  int
 
-	arrivals eventHeap // router-level events; machine events live on shards
+	events   eventHeap // every scheduled event, (t, kind, seq) order
 	eventSeq int
 	now      float64
 	pool     *tickPool // live only inside a run() invocation
@@ -403,8 +392,7 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{cfg: cfg, dt: dt, router: router, admission: admission, cache: cfg.Cache}
 	if f.cache == nil {
-		f.cache = NewTuningCache(cfg.SimCfg, cfg.ProbeWorkScale, cfg.Seed,
-			ProbeWorkers(cfg.ProbeWorkers))
+		f.cache = NewTuningCache(cfg.SimCfg, 0, cfg.Seed)
 	}
 	f.log.retain = cfg.LogRetention
 	f.workers = cfg.Workers
@@ -488,74 +476,34 @@ func (f *Fleet) Job(id int) *Job {
 // Cache returns the fleet's tuning cache.
 func (f *Fleet) Cache() *TuningCache { return f.cache }
 
-// LogBytes returns the merged JSONL event log accumulated so far: the
-// interleave of every shard's record stream in global sequence order
-// (sequence numbers are assigned under the scheduler, so the merge is
-// total and independent of shard and worker counts). With
-// Config.LogRetention > 0 only the most recent records are returned (the
-// schema record trims away once the bound bites); with LogRetention < 0
-// the mirror is disabled and LogBytes returns nil — stream via
-// Config.LogW when a bounded-memory run still needs the full log.
+// LogBytes returns the JSONL event log accumulated so far (records are
+// appended on the scheduler goroutine in event order, so the log is
+// independent of shard and worker counts). With Config.LogRetention > 0
+// only the most recent records are returned (the schema record trims away
+// once the bound bites); with LogRetention < 0 the mirror is disabled and
+// LogBytes returns nil — stream via Config.LogW when a bounded-memory run
+// still needs the full log.
 func (f *Fleet) LogBytes() []byte { return f.log.buf.Bytes() }
 
-// pendingEvents counts scheduled events across the arrival heap and every
-// shard heap.
-func (f *Fleet) pendingEvents() int {
-	n := f.arrivals.Len()
-	for _, s := range f.shards {
-		n += s.events.Len()
-	}
-	return n
-}
-
-// push schedules an event: router-level kinds (arrivals, retries,
-// machine-adds) on the arrival heap, machine-scoped kinds (completions,
-// retunes, crashes, drains, recoveries) on the owning machine's shard
-// heap. The shard is computed as mach mod shards — the machine→shard
-// assignment rule — rather than looked up, so a FaultPlan may target a
-// machine a scheduled machine-add has not created yet. The sequence
-// counter is global, so the cross-heap pop order is the exact order a
-// single heap would produce.
+// push schedules an event. Every push runs on the scheduler goroutine at
+// a deterministic point of the loop, so the sequence number — the final
+// tie-break — is itself deterministic.
 func (f *Fleet) push(t float64, kind eventKind, job *Job, mach int) {
 	f.eventSeq++
-	ev := &event{t: t, kind: kind, seq: f.eventSeq, job: job, mach: mach}
-	switch kind {
-	case evArrive, evRetry, evMachineAdd:
-		heap.Push(&f.arrivals, ev)
-	default:
-		heap.Push(&f.shards[mach%len(f.shards)].events, ev)
-	}
+	heap.Push(&f.events, &event{t: t, kind: kind, seq: f.eventSeq, job: job, mach: mach})
 }
 
-// peekNext returns the globally next event by (t, kind, seq) without
-// popping it, scanning the arrival heap and every shard heap top.
-func (f *Fleet) peekNext() (*event, *eventHeap) {
-	var best *event
-	var from *eventHeap
-	consider := func(h *eventHeap) {
-		if h.Len() == 0 {
-			return
-		}
-		ev := (*h)[0]
-		if best == nil || eventLess(ev, best) {
-			best, from = ev, h
-		}
-	}
-	consider(&f.arrivals)
-	for _, s := range f.shards {
-		consider(&s.events)
-	}
-	return best, from
-}
-
-// Submit schedules one job arrival at time at (>= Now). Workers must fit
-// on at least one machine or the job could never run.
+// Submit schedules one job arrival at time at (finite, >= Now). Workers
+// must fit on at least one machine or the job could never run.
 func (f *Fleet) Submit(spec workload.Spec, workers int, workScale, at float64) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	if workScale <= 0 {
-		return nil, fmt.Errorf("fleet: work scale %g must be positive", workScale)
+	if workScale <= 0 || math.IsNaN(workScale) || math.IsInf(workScale, 0) {
+		return nil, fmt.Errorf("fleet: work scale %g must be positive and finite", workScale)
+	}
+	if math.IsNaN(at) || math.IsInf(at, 0) {
+		return nil, fmt.Errorf("fleet: arrival %g is not finite", at)
 	}
 	if at < f.now {
 		return nil, fmt.Errorf("fleet: arrival %.3f is in the past (now %.3f)", at, f.now)
@@ -672,11 +620,11 @@ func (f *Fleet) Run() (*Stats, error) {
 	return f.Stats(), nil
 }
 
-// Advance moves simulated time forward by d seconds, handling every event
-// that falls due — the daemon's clock driver.
+// Advance moves simulated time forward by d seconds (finite, >= 0),
+// handling every event that falls due — the daemon's clock driver.
 func (f *Fleet) Advance(d float64) error {
-	if d < 0 {
-		return fmt.Errorf("fleet: negative advance %g", d)
+	if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
+		return fmt.Errorf("fleet: advance %g must be finite and non-negative", d)
 	}
 	return f.run(f.now+d, false)
 }
@@ -703,22 +651,21 @@ func (f *Fleet) eps() float64 { return f.dt * 1e-6 }
 func (f *Fleet) run(target float64, drain bool) error {
 	defer f.stopPool()
 	for {
-		// Handle everything due at the current tick, in global heap order.
-		if ev, from := f.peekNext(); ev != nil && ev.t <= f.now+f.eps() {
-			heap.Pop(from)
-			if err := f.handle(ev); err != nil {
+		// Handle everything due at the current tick, in heap order.
+		if len(f.events) > 0 && f.events[0].t <= f.now+f.eps() {
+			if err := f.handle(heap.Pop(&f.events).(*event)); err != nil {
 				return err
 			}
 			continue
 		}
 		next := target
-		if ev, _ := f.peekNext(); ev != nil && ev.t < next {
-			next = ev.t
+		if len(f.events) > 0 && f.events[0].t < next {
+			next = f.events[0].t
 		}
 		// MaxSimTime is a drain guard only: a daemon-driven Advance keeps
 		// its virtual clock running indefinitely.
 		if drain {
-			if f.pendingEvents() == 0 {
+			if len(f.events) == 0 {
 				if f.running == 0 {
 					if len(f.queue) > 0 {
 						// Nothing runs, nothing is scheduled, yet jobs wait:
@@ -752,9 +699,9 @@ func (f *Fleet) run(target float64, drain bool) error {
 
 // lookaheadWindow sizes the next advance window: the number of ticks the
 // shards may free-run without any barrier, capped so the clock stays
-// strictly below t (the next scheduled event already on a heap) and below
-// every machine's completion horizon (the only event kind that emerges
-// from inside an engine rather than from a heap; see
+// strictly below t (the next scheduled event already on the heap) and
+// below every machine's completion horizon (the only event kind that
+// emerges from inside an engine rather than from the heap; see
 // sim.CompletionHorizonTicks for the demand-bound proof). The window does
 // not require quiescence — solves, phase changes and init bursts may all
 // happen inside it — so a busy fleet pays one barrier per emergent event

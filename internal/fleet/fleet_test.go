@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -339,6 +340,26 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := f.Submit(workload.Spec{}, 1, 1, 0); err == nil {
 		t.Fatal("invalid spec accepted")
+	}
+	for _, ws := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := f.Submit(testSpec("x"), 1, ws, 0); err == nil {
+			t.Fatalf("work scale %g accepted", ws)
+		}
+	}
+	for _, at := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := f.Submit(testSpec("x"), 1, 1, at); err == nil {
+			t.Fatalf("arrival %g accepted", at)
+		}
+	}
+	// A NaN target never compares true: unrefused, Advance(NaN) would
+	// spin the event loop forever.
+	for _, d := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if err := f.Advance(d); err == nil {
+			t.Fatalf("advance %g accepted", d)
+		}
+	}
+	if len(f.Jobs()) != 0 {
+		t.Fatalf("rejected submissions left %d jobs behind", len(f.Jobs()))
 	}
 	if _, err := New(Config{Policy: "nope"}); err == nil {
 		t.Fatal("unknown policy accepted")

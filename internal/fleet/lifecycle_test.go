@@ -447,7 +447,6 @@ func chaosShardConfig(shards, workers int, disableFF bool) Config {
 // consistent — and every job must reach a terminal state in the end. Runs
 // with fast-forward on and off and demands bit-identical logs.
 func TestConservationUnderChaos(t *testing.T) {
-	ffForcedOff := os.Getenv("BWAP_NO_FASTFORWARD") == "1"
 	var logs [][]byte
 	for _, disableFF := range []bool{true, false} {
 		f, err := New(chaosShardConfig(2, 2, disableFF))
@@ -486,9 +485,6 @@ func TestConservationUnderChaos(t *testing.T) {
 			t.Fatalf("disableFF=%v: %d machines after the add, want 9", disableFF, stats.Machines)
 		}
 		logs = append(logs, f.LogBytes())
-	}
-	if ffForcedOff {
-		return // both runs used the naive path; the comparison is vacuous
 	}
 	if !bytes.Equal(logs[0], logs[1]) {
 		t.Fatal("fast-forward changed the chaos log")

@@ -64,36 +64,41 @@ func timelineJSON(t *testing.T, f *Fleet, window float64) []byte {
 	return data
 }
 
-// TestTelemetryDoesNotPerturbLog pins the observer's core invariant:
-// attaching telemetry (spans included) leaves the merged JSONL event log
-// byte-identical. The observer consumes records and never produces them.
+// TestTelemetryDoesNotPerturbLog pins the observer's core invariant under
+// both a baseline and the bwap placement policy: attaching telemetry
+// (spans included) leaves the merged JSONL event log byte-identical. The
+// observer consumes records and never produces them.
 func TestTelemetryDoesNotPerturbLog(t *testing.T) {
-	bare, _ := runFleet(t, obsFaultConfig(2, 2), shardStreams())
+	for _, policy := range []string{PolicyFirstTouch, PolicyBWAP} {
+		cfg := obsFaultConfig(2, 2)
+		cfg.Policy = policy
+		bare, _ := runFleet(t, cfg, shardStreams())
 
-	cfg := obsFaultConfig(2, 2)
-	var spanBuf bytes.Buffer
-	cfg.Obs = NewObserver(ObserverConfig{SpanW: &spanBuf})
-	observed, _ := runFleet(t, cfg, shardStreams())
+		var spanBuf bytes.Buffer
+		cfg.Obs = NewObserver(ObserverConfig{SpanW: &spanBuf})
+		observed, stats := runFleet(t, cfg, shardStreams())
 
-	if !bytes.Equal(bare.LogBytes(), observed.LogBytes()) {
-		t.Fatalf("telemetry perturbed the event log\n--- bare ---\n%s\n--- observed ---\n%s",
-			bare.LogBytes(), observed.LogBytes())
-	}
-	// The observer must actually have seen the run it did not perturb.
-	o := observed.Observer()
-	if o.Turnaround().Count() == 0 || o.QueueWait().Count() == 0 {
-		t.Fatalf("observer saw no completions/waits: %d/%d",
-			o.Turnaround().Count(), o.QueueWait().Count())
-	}
-	if err := o.CloseSpans(); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(spanBuf.Bytes(), &events); err != nil {
-		t.Fatalf("span log invalid: %v", err)
-	}
-	if len(events) == 0 {
-		t.Fatal("no spans emitted")
+		if !bytes.Equal(bare.LogBytes(), observed.LogBytes()) {
+			t.Fatalf("%s: telemetry perturbed the event log\n--- bare ---\n%s\n--- observed ---\n%s",
+				policy, bare.LogBytes(), observed.LogBytes())
+		}
+		// The observer must actually have seen the run it did not perturb:
+		// one turnaround sample per completed job.
+		o := observed.Observer()
+		if o.Turnaround().Count() != uint64(stats.Completed) || o.QueueWait().Count() == 0 {
+			t.Fatalf("%s: observer saw %d completions (stats say %d) and %d waits",
+				policy, o.Turnaround().Count(), stats.Completed, o.QueueWait().Count())
+		}
+		if err := o.CloseSpans(); err != nil {
+			t.Fatal(err)
+		}
+		var events []map[string]any
+		if err := json.Unmarshal(spanBuf.Bytes(), &events); err != nil {
+			t.Fatalf("%s: span log invalid: %v", policy, err)
+		}
+		if len(events) == 0 {
+			t.Fatalf("%s: no spans emitted", policy)
+		}
 	}
 }
 

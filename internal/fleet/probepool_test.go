@@ -25,7 +25,7 @@ func TestProbePoolDeterminism(t *testing.T) {
 	for _, pw := range []int{-1, 1, 4} {
 		for _, c := range []struct{ shards, workers int }{{1, 1}, {2, 2}, {4, 4}} {
 			cfg := obsFaultConfig(c.shards, c.workers)
-			cfg.ProbeWorkers = pw
+			cfg.Cache = NewTuningCache(cfg.SimCfg, 0, cfg.Seed, ProbeWorkers(pw))
 			cfg.Obs = NewObserver(ObserverConfig{})
 			f, err := New(cfg)
 			if err != nil {
@@ -90,7 +90,7 @@ func TestProbePoolDeterminism(t *testing.T) {
 // accounting of a later identical run.
 func TestProbePoolQuiesce(t *testing.T) {
 	cfg := shardConfig(PolicyBWAP, AdmitMostFree, 2, 2, 7)
-	cfg.ProbeWorkers = 4
+	cfg.Cache = NewTuningCache(cfg.SimCfg, 0, cfg.Seed, ProbeWorkers(4))
 	f, stats := runFleet(t, cfg, shardStreams())
 	f.Cache().Quiesce() // must be a no-op: Run already drained the pool
 	if stats.CacheMisses == 0 {
@@ -100,7 +100,6 @@ func TestProbePoolQuiesce(t *testing.T) {
 	// A second fleet sharing the warm cache sees only hits, exactly as a
 	// pool-less warm run would.
 	cfg2 := shardConfig(PolicyBWAP, AdmitMostFree, 2, 2, 7)
-	cfg2.ProbeWorkers = 4
 	cfg2.Cache = f.Cache()
 	_, warm := runFleet(t, cfg2, shardStreams())
 	if warm.CacheMisses != 0 {

@@ -92,30 +92,33 @@ func TestReplayShardWorkerEquivalence(t *testing.T) {
 	}
 }
 
-// TestReplayShardEquivalenceBWAP covers the DWP path: with a shared,
-// pre-warmed tuning cache every admission and retune resolves the same
-// cached values, so the full bwap log (dwp, cache_hit fields included) is
-// shard- and worker-invariant too.
+// TestReplayShardEquivalenceBWAP covers the DWP path under every
+// admission policy: with a shared tuning cache pre-warmed for that policy
+// (placements, and so co-runner contexts, differ across policies) every
+// admission and retune resolves the same cached values, so the full bwap
+// log (dwp, cache_hit fields included) is shard- and worker-invariant too.
 func TestReplayShardEquivalenceBWAP(t *testing.T) {
-	cache := NewTuningCache(sim.Config{Seed: 17}, 0, 17)
-	warm := shardConfig(PolicyBWAP, AdmitMostFree, 1, 1, 17)
-	warm.Cache = cache
-	runFleet(t, warm, shardStreams()) // populates every (sig, workers, co) key
+	for _, admission := range []string{AdmitMostFree, AdmitBestBandwidth, AdmitAntiAffinity} {
+		cache := NewTuningCache(sim.Config{Seed: 17}, 0, 17)
+		warm := shardConfig(PolicyBWAP, admission, 1, 1, 17)
+		warm.Cache = cache
+		runFleet(t, warm, shardStreams()) // populates every (sig, workers, co) key
 
-	var base []byte
-	for _, c := range []struct{ shards, workers int }{{1, 1}, {4, 2}, {8, 8}} {
-		cfg := shardConfig(PolicyBWAP, AdmitMostFree, c.shards, c.workers, 17)
-		cfg.Cache = cache
-		f, stats := runFleet(t, cfg, shardStreams())
-		if stats.CacheMisses != 0 {
-			t.Fatalf("shards=%d: %d probes ran against a warm cache", c.shards, stats.CacheMisses)
-		}
-		if base == nil {
-			base = f.LogBytes()
-			continue
-		}
-		if !bytes.Equal(base, f.LogBytes()) {
-			t.Fatalf("bwap log differs at shards=%d workers=%d", c.shards, c.workers)
+		var base []byte
+		for _, c := range []struct{ shards, workers int }{{1, 1}, {4, 2}, {8, 8}} {
+			cfg := shardConfig(PolicyBWAP, admission, c.shards, c.workers, 17)
+			cfg.Cache = cache
+			f, stats := runFleet(t, cfg, shardStreams())
+			if stats.CacheMisses != 0 {
+				t.Fatalf("%s shards=%d: %d probes ran against a warm cache", admission, c.shards, stats.CacheMisses)
+			}
+			if base == nil {
+				base = f.LogBytes()
+				continue
+			}
+			if !bytes.Equal(base, f.LogBytes()) {
+				t.Fatalf("%s: bwap log differs at shards=%d workers=%d", admission, c.shards, c.workers)
+			}
 		}
 	}
 }

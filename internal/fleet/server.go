@@ -126,7 +126,7 @@ func (s *Server) drive(stop <-chan struct{}, done chan<- struct{}) {
 			s.mu.Lock()
 			// Freeze virtual time while idle: an empty daemon stays at a
 			// reproducible clock instead of burning ticks.
-			busy := s.fleet.running > 0 || s.fleet.pendingEvents() > 0
+			busy := s.fleet.running > 0 || len(s.fleet.events) > 0
 			var failed error
 			if busy {
 				if err := s.fleet.Advance(s.SimRate * s.Tick.Seconds()); err != nil && s.driveErr == nil {
@@ -146,6 +146,15 @@ func (s *Server) drive(stop <-chan struct{}, done chan<- struct{}) {
 	}
 }
 
+// /submit bounds. The body bound caps the memory one request can make
+// the decoder hold; the count bound caps how long one batch holds the
+// fleet mutex, which every other handler and the clock driver wait on.
+// Documented clients send batches of 1–3.
+const (
+	maxSubmitBody  = 1 << 20 // bytes; larger bodies get 413
+	maxSubmitCount = 1024    // jobs per request; more gets 400
+)
+
 // submitRequest is the POST /submit body.
 type submitRequest struct {
 	// Workload names a built-in benchmark (SC, OC, ON, SP.B, FT.C).
@@ -156,7 +165,8 @@ type submitRequest struct {
 	Workers int `json:"workers,omitempty"`
 	// WorkScale scales the spec's work volume (default 1).
 	WorkScale float64 `json:"work_scale,omitempty"`
-	// Count submits that many identical jobs (default 1).
+	// Count submits that many identical jobs (default 1, at most
+	// maxSubmitCount).
 	Count int `json:"count,omitempty"`
 }
 
@@ -264,8 +274,13 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, fmt.Errorf("bad body: %w", err))
 		return
 	}
 	var spec workload.Spec
@@ -293,8 +308,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("negative work_scale %g", req.WorkScale))
 		return
 	}
-	if req.Count < 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("negative count %d", req.Count))
+	if req.Count < 0 || req.Count > maxSubmitCount {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("count %d outside [0, %d]", req.Count, maxSubmitCount))
 		return
 	}
 	if req.Workers == 0 {

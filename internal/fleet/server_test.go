@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,13 +22,13 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 		SimCfg:     sim.Config{Seed: 21},
 		Policy:     PolicyBWAP,
 		Seed:       21,
-		// Full-volume probes: on the small test machine a default-scale
-		// probe finishes in well under a millisecond, which puts the
-		// miss-vs-hit latency comparison inside scheduler noise on a
-		// loaded single-core runner. Full volume keeps the probe an
-		// order of magnitude above the noise floor.
-		ProbeWorkScale: 1,
 	}
+	// Full-volume probes: on the small test machine a default-scale probe
+	// finishes in well under a millisecond, which puts the miss-vs-hit
+	// latency comparison inside scheduler noise on a loaded single-core
+	// runner. Full volume keeps the probe an order of magnitude above the
+	// noise floor.
+	cfg.Cache = NewTuningCache(cfg.SimCfg, 1, cfg.Seed)
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +295,9 @@ func TestServerEndpoints(t *testing.T) {
 
 // TestServerSubmitValidation pins the /submit input contract: zero values
 // select defaults, negative workers/work_scale/count are rejected with 400
-// instead of being silently coerced into a different job than asked for.
+// instead of being silently coerced into a different job than asked for,
+// and a batch above maxSubmitCount or a body above maxSubmitBody is
+// refused before it can hold the fleet mutex.
 func TestServerSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t)
 	cases := []struct {
@@ -305,6 +308,8 @@ func TestServerSubmitValidation(t *testing.T) {
 		{"negative workers", `{"workload":"SC","workers":-1}`, http.StatusBadRequest},
 		{"negative work_scale", `{"workload":"SC","work_scale":-0.5}`, http.StatusBadRequest},
 		{"negative count", `{"workload":"SC","count":-2}`, http.StatusBadRequest},
+		{"count above cap", `{"workload":"SC","count":100000000}`, http.StatusBadRequest},
+		{"oversized body", `{"workload":"SC","pad":"` + strings.Repeat("x", maxSubmitBody) + `"}`, http.StatusRequestEntityTooLarge},
 		{"unknown workload", `{"workload":"nope"}`, http.StatusBadRequest},
 		{"no workload", `{}`, http.StatusBadRequest},
 		{"bad json", `{`, http.StatusBadRequest},

@@ -2,9 +2,8 @@ package fleet
 
 // shard is one independently advanced slice of the fleet: a fixed machine
 // set (global ids preserved, assigned round-robin by id so heterogeneous
-// fleets stay balanced), its own event heap for machine-scoped events
-// (completions, retunes), a mirror of the lockstep clock, and shard-local
-// statistics.
+// fleets stay balanced) and shard-local statistics. Events and the clock
+// are fleet-wide; a shard owns only what a window mutates.
 //
 // Concurrency contract — the "shard barrier" every counter hides behind:
 // a shard is touched by at most one goroutine inside a window (freeRun on
@@ -17,8 +16,6 @@ package fleet
 type shard struct {
 	id       int
 	machines []*machine // ascending global id
-	events   eventHeap  // completions + retunes for these machines
-	now      float64
 	nodes    int
 
 	// Written by the owning worker during a window.
@@ -41,9 +38,9 @@ type shard struct {
 // than losing it. Busy-time charges repeat the per-tick additions in the
 // same (tick, machine) order as a tick-at-a-time loop — occupancy is
 // constant inside a window — so utilization accounting is independent of
-// how a span of ticks is cut into windows. The shard clock mirror (s.now)
-// is maintained by advanceTo on the scheduler goroutine, so the clock has
-// exactly one accumulation sequence.
+// how a span of ticks is cut into windows. The clock advances only in
+// advanceTo on the scheduler goroutine, so it has exactly one accumulation
+// sequence.
 func (s *shard) freeRun(k int, dt float64) {
 	for _, m := range s.machines {
 		m.eng.AdvanceTicks(k)
@@ -199,10 +196,6 @@ func (f *Fleet) advanceTo(t float64) []*Job {
 		if comps = f.gatherComps(); len(comps) > 0 {
 			break
 		}
-	}
-	// Shards mirror the clock for their stats snapshots.
-	for _, s := range f.shards {
-		s.now = f.now
 	}
 	return comps
 }

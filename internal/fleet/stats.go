@@ -176,7 +176,7 @@ func (f *Fleet) ShardStats() []ShardStat {
 		st := ShardStat{
 			Shard:       sh.id,
 			Nodes:       sh.nodes,
-			SimTime:     sh.now,
+			SimTime:     f.now,
 			Running:     sh.running(),
 			Admitted:    sh.admitted,
 			Completed:   sh.completed,

@@ -48,13 +48,12 @@ import (
 // Restore a snapshot before kicking prefetches (the daemon's boot order):
 // a reservation already in flight blocks a restore of the same key.
 //
-// By default the DWP layer forgets failed probes (a transient failure does
-// not poison its key for the daemon's lifetime — CacheErrors restores the
-// strict first-outcome-is-the-outcome behaviour for replay determinism),
-// and is unbounded (CacheMaxEntries adds an LRU bound for long-lived
-// multi-tenant fleets). Completed DWP entries can be saved to a versioned
-// JSON file and reloaded on a later boot: the key derivation is stable
-// across processes, so a restored entry is a legitimate hit.
+// The DWP layer forgets failed probes (a transient failure does not
+// poison its key for the daemon's lifetime) and is unbounded by default
+// (CacheMaxEntries adds an LRU bound for long-lived multi-tenant fleets).
+// Completed DWP entries can be saved to a versioned JSON file and
+// reloaded on a later boot: the key derivation is stable across
+// processes, so a restored entry is a legitimate hit.
 type TuningCache struct {
 	simCfg     sim.Config
 	probeScale float64
@@ -95,7 +94,6 @@ type TuningCacheOption func(*tuningCacheOpts)
 
 type tuningCacheOpts struct {
 	maxEntries   int
-	cacheErrors  bool
 	probeWorkers int
 }
 
@@ -104,14 +102,6 @@ type tuningCacheOpts struct {
 // it holds one entry per topology model, not per workload.
 func CacheMaxEntries(n int) TuningCacheOption {
 	return func(o *tuningCacheOpts) { o.maxEntries = n }
-}
-
-// CacheErrors memoizes failed probes forever — the pre-durability default,
-// kept available because strict replay determinism wants the first outcome
-// (even a failure) to be the outcome. Without it a failed probe is
-// forgotten and the next lookup of its key retries.
-func CacheErrors() TuningCacheOption {
-	return func(o *tuningCacheOpts) { o.cacheErrors = true }
 }
 
 // ProbeWorkers sizes the asynchronous probe pool serving Prefetch: n >= 1
@@ -146,12 +136,9 @@ func NewTuningCache(simCfg sim.Config, probeScale float64, seed uint64, opts ...
 	for _, opt := range opts {
 		opt(&o)
 	}
-	var dwpOpts []cache.Option
+	dwpOpts := []cache.Option{cache.ForgetErrors()}
 	if o.maxEntries > 0 {
 		dwpOpts = append(dwpOpts, cache.MaxEntries(o.maxEntries))
-	}
-	if !o.cacheErrors {
-		dwpOpts = append(dwpOpts, cache.ForgetErrors())
 	}
 	workers := o.probeWorkers
 	if workers == 0 {

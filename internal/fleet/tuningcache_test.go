@@ -69,8 +69,7 @@ func TestTuningCacheSnapshotRoundTrip(t *testing.T) {
 
 // TestTuningCacheErrorNotPoisoned is the error-poisoning regression test
 // at the fleet layer: a failing probe (worker demand no machine satisfies,
-// so sched.BestWorkerSet errors) must be retried on the next lookup by
-// default, and memoized forever only under CacheErrors.
+// so sched.BestWorkerSet errors) must be retried on the next lookup.
 func TestTuningCacheErrorNotPoisoned(t *testing.T) {
 	topo := smallMachine(0)
 	spec := testSpec("flaky")
@@ -91,15 +90,6 @@ func TestTuningCacheErrorNotPoisoned(t *testing.T) {
 	}
 	if _, hit, err := tc.DWP(topo, spec, 2, 0); err != nil || !hit {
 		t.Fatalf("second good lookup: hit=%v err=%v", hit, err)
-	}
-
-	strict := NewTuningCache(sim.Config{Seed: 3}, 0, 3, CacheErrors())
-	strict.DWP(topo, spec, 99, 0) //nolint:errcheck
-	if _, hit, err := strict.DWP(topo, spec, 99, 0); err == nil || !hit {
-		t.Fatalf("CacheErrors lookup: hit=%v err=%v, want cached failure", hit, err)
-	}
-	if cs := strict.Stats(); cs.Misses != 1 {
-		t.Fatalf("strict cache ran the failing probe %d times, want 1", cs.Misses)
 	}
 }
 

@@ -92,9 +92,6 @@ func TestTickAllocationFreeCoScheduled(t *testing.T) {
 // path and the unchecked ReplayTicks batch — performs zero heap
 // allocations, and the ticks measured really are replays, not solves.
 func TestReplayAllocationFree(t *testing.T) {
-	if noFastForwardEnv() {
-		t.Skip("BWAP_NO_FASTFORWARD=1 forces the naive path")
-	}
 	e := newSteadyEngine(t)
 	// Tick until the latency feedback reaches its fixed point and the
 	// engine goes quiescent.

@@ -2,7 +2,6 @@ package sim_test
 
 import (
 	"math"
-	"os"
 	"testing"
 
 	"bwap/internal/perf"
@@ -23,20 +22,6 @@ import (
 type ffScenario struct {
 	name  string
 	build func(t *testing.T, e *sim.Engine)
-}
-
-// skipIfNoFF skips the fast-forward tests when the BWAP_NO_FASTFORWARD=1
-// CI knob is set: the knob overrides Config.DisableFastForward in
-// withDefaults, so under it every engine takes the naive path and an
-// on-vs-off comparison would silently compare naive against naive —
-// passing without exercising the replay code at all. The knob run's job
-// is the rest of the suite on the reference loop; these tests belong to
-// the normal run.
-func skipIfNoFF(t *testing.T) {
-	t.Helper()
-	if os.Getenv("BWAP_NO_FASTFORWARD") == "1" {
-		t.Skip("BWAP_NO_FASTFORWARD=1 forces the naive path everywhere; on-vs-off comparison would be vacuous")
-	}
 }
 
 func ffSpec(workGB float64) workload.Spec {
@@ -130,7 +115,6 @@ func sameCounters(t *testing.T, name string, a, b *perf.Counters) {
 // against the naive reference across every scenario class the engine
 // models.
 func TestFastForwardEquivalence(t *testing.T) {
-	skipIfNoFF(t)
 	for _, sc := range ffScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			on, onEng := runFF(t, sc, false)
@@ -172,7 +156,6 @@ func TestFastForwardEquivalence(t *testing.T) {
 // point (a few dozen ticks), a long quiescent run must replay the
 // overwhelming majority of its ticks.
 func TestFastForwardEngages(t *testing.T) {
-	skipIfNoFF(t)
 	sc := ffScenario{"long-steady", func(t *testing.T, e *sim.Engine) {
 		addApp(t, e, "a", ffSpec(2000), []topology.NodeID{0, 1}, testPlacer{"uniform-workers"})
 	}}
@@ -192,7 +175,6 @@ func TestFastForwardEngages(t *testing.T) {
 // one greedily replaying memoized stretches — and demands identical
 // clocks, progress and completion times.
 func TestAdvanceToFastForwardMatchesNaive(t *testing.T) {
-	skipIfNoFF(t)
 	build := func(disable bool) (*sim.Engine, *sim.App) {
 		e := sim.New(topology.MachineB(), sim.Config{Seed: 3, DisableFastForward: disable})
 		app := addApp(t, e, "a", ffSpec(40).WithInitPhase(1.1, 0.6), []topology.NodeID{0, 1},

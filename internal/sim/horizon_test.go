@@ -142,7 +142,6 @@ func TestCompletionHorizonZeroWithHooks(t *testing.T) {
 // within 64 ULPs of the exact fixed point, so completion times shift at
 // most in the last couple of float digits.
 func TestSnapLatFeedbackConvergence(t *testing.T) {
-	skipIfNoFF(t)
 	run := func(snap bool) (*sim.Result, *sim.Engine) {
 		e := sim.New(topology.MachineB(), sim.Config{Seed: 7, SnapLatFeedback: snap})
 		spec := ffSpec(200) // long enough for the feedback to converge at all

@@ -14,9 +14,6 @@ import (
 // p >= f·w does not, so a boundary test on the product would let a replay
 // batch run the next tick on the previous phase's demand.
 func TestReplayStopsAtPhaseAtCrossing(t *testing.T) {
-	if noFastForwardEnv() {
-		t.Skip("BWAP_NO_FASTFORWARD=1 forces the naive path")
-	}
 	// Variables, not constants: constant arithmetic is exact, and the
 	// split only shows in float64.
 	var (

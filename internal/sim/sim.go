@@ -24,9 +24,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"os"
 	"strconv"
-	"sync"
 
 	"bwap/internal/memsys"
 	"bwap/internal/mm"
@@ -36,13 +34,6 @@ import (
 	"bwap/internal/topology"
 	"bwap/internal/workload"
 )
-
-// noFastForwardEnv reports whether the BWAP_NO_FASTFORWARD=1 environment
-// knob forces the naive per-tick solve path — the CI switch that keeps the
-// reference implementation exercised.
-var noFastForwardEnv = sync.OnceValue(func() bool {
-	return os.Getenv("BWAP_NO_FASTFORWARD") == "1"
-})
 
 // Placer is a page-placement policy: it performs the initial placement of
 // an application's segments when the application starts. Policies that also
@@ -101,8 +92,8 @@ type Config struct {
 	// every tick rebuilds its flow set and runs a full memsys solve, even
 	// when the inputs are provably unchanged. The fast path is bit-identical
 	// to this naive loop by construction; the switch keeps the naive loop
-	// alive as the reference implementation (the BWAP_NO_FASTFORWARD=1
-	// environment knob forces it on for a whole test run).
+	// alive as the reference implementation the equivalence tests and the
+	// frozen-output pins compare against.
 	DisableFastForward bool
 	// SnapLatFeedback freezes the latency-feedback smoothing once an
 	// update would move a multiplier by at most latSnapRel of its value:
@@ -144,9 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DemandFactor <= 0 {
 		c.DemandFactor = 1.0
-	}
-	if noFastForwardEnv() {
-		c.DisableFastForward = true
 	}
 	if c.StableAfter <= 0 {
 		c.StableAfter = defaultStableAfter

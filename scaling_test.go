@@ -83,7 +83,7 @@ func TestShardScalingMultiCoreGate(t *testing.T) {
 // around BenchmarkColdCacheProbeBurst: on a multi-core runner, a cold
 // cache hit by a burst of distinct workload classes must drain faster
 // with four probe workers than with one. Every run builds a fresh fleet
-// with a fresh private cache, so each pays the full probe bill; the pool
+// with a fresh cache, so each pays the full probe bill; the pool
 // width is the only variable. Same guards as the shard gate — the
 // comparison is meaningless on a single core.
 func TestProbeBurstMultiCoreGate(t *testing.T) {
@@ -99,12 +99,12 @@ func TestProbeBurstMultiCoreGate(t *testing.T) {
 	run := func(probeWorkers int) time.Duration {
 		start := time.Now()
 		f, err := bwap.NewFleet(bwap.FleetConfig{
-			Machines:     8,
-			Shards:       2,
-			Workers:      2,
-			ProbeWorkers: probeWorkers,
-			SimCfg:       bwap.Config{Seed: 1},
-			Seed:         1,
+			Machines: 8,
+			Shards:   2,
+			Workers:  2,
+			SimCfg:   bwap.Config{Seed: 1},
+			Seed:     1,
+			Cache:    bwap.NewTuningCache(bwap.Config{Seed: 1}, 0, 1, bwap.ProbeWorkers(probeWorkers)),
 		})
 		if err != nil {
 			t.Fatal(err)
