@@ -52,7 +52,11 @@ func TestEngineReplaysMoreTicks(t *testing.T) {
 	if stats.Completed != stats.Jobs {
 		t.Fatalf("run completed %d of %d jobs", stats.Completed, stats.Jobs)
 	}
-	t.Logf("replay fraction %.3f", fraction)
+	// Memo hits are solves answered without filling: a subset of them.
+	if stats.TickMemoHits <= 0 || stats.TickMemoHits > stats.TickSolves {
+		t.Fatalf("%d memo hits for %d tick solves, want a non-empty subset", stats.TickMemoHits, stats.TickSolves)
+	}
+	t.Logf("replay fraction %.3f, memo hits %d of %d solves", fraction, stats.TickMemoHits, stats.TickSolves)
 }
 
 // TestEnginePhaseAwareHorizon pins the fleet-visible effect of the

@@ -923,6 +923,7 @@ func (f *Fleet) complete(job *Job) error {
 	if err := m.eng.RemoveApp(job.app); err != nil {
 		return fmt.Errorf("fleet: completing job %d: %w", job.ID, err)
 	}
+	job.app = nil // nothing reads it after completion; Fleet.jobs outlives it
 	for i, j := range m.active {
 		if j == job {
 			m.active = append(m.active[:i], m.active[i+1:]...)

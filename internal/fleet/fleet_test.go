@@ -267,6 +267,22 @@ func TestQueueingAndBackfill(t *testing.T) {
 	}
 }
 
+// TestCompletedJobsDropTheirApp pins that a finished job releases its
+// simulated app: Fleet.jobs keeps every job for /status and Stats, so an
+// app held past completion is dead sim state a long-lived fleet never
+// frees.
+func TestCompletedJobsDropTheirApp(t *testing.T) {
+	f, stats := runFleet(t, testConfig(PolicyBWAP, 3), testStreams())
+	if stats.Completed == 0 || stats.Completed != stats.Jobs {
+		t.Fatalf("completed %d of %d jobs", stats.Completed, stats.Jobs)
+	}
+	for _, j := range f.jobs {
+		if j.State == JobDone && j.app != nil {
+			t.Fatalf("completed job %d still holds its *sim.App", j.ID)
+		}
+	}
+}
+
 // TestRetuneOnChurn co-locates two jobs and checks churn triggers retunes
 // that consult the cache with the updated co-runner count.
 func TestRetuneOnChurn(t *testing.T) {

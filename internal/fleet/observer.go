@@ -75,7 +75,8 @@ type Observer struct {
 	gSimTime, gMachines, gMachinesUp *obs.Gauge
 	gQueueDepth, gJobsTotal          *obs.Gauge
 	gJobState                        [6]*obs.Gauge // indexed by JobState
-	gTickSolves, gTickReplays        *obs.Gauge
+	gTickSolves, gTickMemoHits       *obs.Gauge
+	gTickReplays                     *obs.Gauge
 	machUp, machRunning              []*obs.Gauge // indexed by machine id
 
 	jobs []jobTrack // indexed by job ID-1
@@ -149,6 +150,7 @@ func NewObserver(cfg ObserverConfig) *Observer {
 			obs.Label{Key: "state", Value: st.String()})
 	}
 	o.gTickSolves = r.Gauge("bwap_tick_solves", "Engine ticks that ran a full flow build + solve, summed over machines.")
+	o.gTickMemoHits = r.Gauge("bwap_tick_memo_hits", "Engine tick solves answered from the solver's memo of recent solves (a subset of bwap_tick_solves), summed over machines.")
 	o.gTickReplays = r.Gauge("bwap_tick_replays", "Engine ticks replayed from a memoized solve, summed over machines.")
 	return o
 }
@@ -366,13 +368,15 @@ func (o *Observer) syncGauges(f *Fleet) {
 	for st, g := range o.gJobState {
 		g.Set(float64(byState[st]))
 	}
-	var solves, replays int64
+	var solves, replays, hits int64
 	for _, m := range f.machines {
 		s, r := m.eng.FastForwardStats()
 		solves += int64(s)
 		replays += int64(r)
+		hits += int64(m.eng.SolveMemoHits())
 	}
 	o.gTickSolves.Set(float64(solves))
+	o.gTickMemoHits.Set(float64(hits))
 	o.gTickReplays.Set(float64(replays))
 
 	for len(o.machUp) < len(f.machines) {

@@ -63,6 +63,9 @@ type Stats struct {
 	// A healthy steady-state fleet replays most ticks.
 	TickSolves  int64 `json:"tick_solves"`
 	TickReplays int64 `json:"tick_replays"`
+	// TickMemoHits counts the TickSolves the memsys solver answered from
+	// its memo of recent solves rather than by progressive filling.
+	TickMemoHits int64 `json:"tick_memo_hits"`
 	// AdvanceBatches counts advance windows (each sized by
 	// lookaheadWindow); AdvanceTicks is the total ticks they covered.
 	// Their ratio — the mean barrier-free window — measures how well the
@@ -135,6 +138,7 @@ func (f *Fleet) Stats() *Stats {
 		solves, replays := m.eng.FastForwardStats()
 		s.TickSolves += int64(solves)
 		s.TickReplays += int64(replays)
+		s.TickMemoHits += int64(m.eng.SolveMemoHits())
 	}
 	var wait, run, turn float64
 	for _, j := range f.jobs {

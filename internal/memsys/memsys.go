@@ -185,6 +185,35 @@ type Solver struct {
 	// epoch counts Solve calls, so a caller holding the returned *Result
 	// can prove it still describes the most recent solve.
 	epoch uint64
+
+	// memo is a ring of the solver's recent fills, allocated at its
+	// second Solve so a one-shot solver pays nothing. memoNext is the slot
+	// the next miss overwrites.
+	memo     *[memoSize]memoEntry
+	memoNext int
+	memoHits uint64
+}
+
+// memoSize is the number of recent fills a Solver remembers. On the
+// perfbench paper pass a ring of k fills answers 10.3% of all solves at
+// k = 1, 36.2% at 2, 48.4% at 4, 56.2% at 8, 59.0% at 16 and 60.4% at 32
+// (DESIGN §9).
+const memoSize = 8
+
+// memoEntry is one remembered solve: its input flows and the outputs it
+// produced.
+type memoEntry struct {
+	hash  uint64
+	flows []Flow
+	// out holds Rates, ControllerUtil, IngestUtil, LinkUtil and
+	// NodeOutGBs back to back; nil marks an unused slot.
+	out []float64
+}
+
+// sameInput reports whether two flows agree on every field Solve reads:
+// all but Tag.
+func sameInput(a, b Flow) bool {
+	return a.Src == b.Src && a.Dst == b.Dst && a.Demand == b.Demand && a.Streams == b.Streams
 }
 
 // NewSolver returns a reusable solver for the system. The float64 scratch
@@ -230,13 +259,105 @@ func (sv *Solver) path(i int32) []int32 {
 // on to replay a solve bit for bit.
 func (sv *Solver) Epoch() uint64 { return sv.epoch }
 
+// MemoHits returns the number of Solve calls answered from the memo.
+func (sv *Solver) MemoHits() uint64 { return sv.memoHits }
+
 // Solve computes demand-bounded max-min fair rates for the given flows.
 // The returned Result shares the solver's buffers: it is valid only until
 // the next Solve call on this solver.
+//
+// A call whose flows equal, field for field (Tag aside), those of one of
+// the last memoSize solves this solver filled copies that solve's outputs
+// instead of filling again. Filling is a deterministic function of
+// exactly those fields, so a hit returns the bytes a fresh fill would.
+// Demands compare with ==, which equates +0 and −0; both are
+// non-positive, which is all the filling reads of them. A NaN demand
+// never compares equal, so a flow set holding one always fills.
 func (sv *Solver) Solve(flows []Flow) *Result {
+	sv.epoch++
+	if sv.epoch == 1 || len(flows) == 0 {
+		return sv.fill(flows)
+	}
+	h := hashFlows(flows)
+	if e := sv.lookup(h, flows); e != nil {
+		sv.memoHits++
+		return sv.recall(e)
+	}
+	res := sv.fill(flows)
+	sv.remember(h, flows)
+	return res
+}
+
+// hashFlows mixes the fields Solve reads, FNV-1a style, in two
+// independent lanes (demand bits; the three integers folded into one
+// word) so the multiplies overlap. It only picks candidates: lookup
+// compares every field before it hits.
+func hashFlows(flows []Flow) uint64 {
+	const prime = 0x100000001b3
+	d, i := uint64(0xcbf29ce484222325), uint64(len(flows))
+	for _, f := range flows {
+		d = (d ^ math.Float64bits(f.Demand)) * prime
+		i = (i ^ uint64(f.Src) ^ uint64(f.Dst)<<20 ^ uint64(f.Streams)<<40) * prime
+	}
+	return d ^ i
+}
+
+// lookup returns the remembered solve of exactly these flows, or nil.
+func (sv *Solver) lookup(h uint64, flows []Flow) *memoEntry {
+	if sv.memo == nil {
+		return nil
+	}
+next:
+	for i := range sv.memo {
+		e := &sv.memo[i]
+		if e.out == nil || e.hash != h || len(e.flows) != len(flows) {
+			continue
+		}
+		for j, f := range flows {
+			if !sameInput(f, e.flows[j]) {
+				continue next
+			}
+		}
+		return e
+	}
+	return nil
+}
+
+// recall copies a remembered solve into the solver's result buffers.
+func (sv *Solver) recall(e *memoEntry) *Result {
+	res := &sv.res
+	res.Rates = grow(res.Rates, len(e.flows))
+	out := e.out
+	out = out[copy(res.Rates, out):]
+	out = out[copy(res.ControllerUtil, out):]
+	out = out[copy(res.IngestUtil, out):]
+	out = out[copy(res.LinkUtil, out):]
+	copy(res.NodeOutGBs, out)
+	return res
+}
+
+// remember stores the solve just filled in the oldest ring slot, reusing
+// that slot's buffers.
+func (sv *Solver) remember(h uint64, flows []Flow) {
+	if sv.memo == nil {
+		sv.memo = new([memoSize]memoEntry)
+	}
+	e := &sv.memo[sv.memoNext]
+	sv.memoNext = (sv.memoNext + 1) % memoSize
+	e.hash = h
+	e.flows = append(e.flows[:0], flows...)
+	res := &sv.res
+	e.out = append(e.out[:0], res.Rates...)
+	e.out = append(e.out, res.ControllerUtil...)
+	e.out = append(e.out, res.IngestUtil...)
+	e.out = append(e.out, res.LinkUtil...)
+	e.out = append(e.out, res.NodeOutGBs...)
+}
+
+// fill runs progressive filling into the solver's result buffers.
+func (sv *Solver) fill(flows []Flow) *Result {
 	s := sv.sys
 	n := s.m.NumNodes()
-	sv.epoch++
 	res := &sv.res
 	res.Rates = grow(res.Rates, len(flows))
 	zero(res.Rates)

@@ -1191,6 +1191,10 @@ func (e *Engine) FastForwardStats() (solves, replays int) {
 	return e.ffSolves, e.ffReplays
 }
 
+// SolveMemoHits reports how many of FastForwardStats' solves the memsys
+// solver answered from its memo of recent solves instead of filling.
+func (e *Engine) SolveMemoHits() int { return int(e.solver.MemoHits()) }
+
 // throttle computes the latency-driven demand suppression for a worker on
 // node w whose pages are spread per fr: 1/(1+κ·(L̄/L_local − 1)), where L̄
 // uses the utilization-inflated latencies of the previous tick.
