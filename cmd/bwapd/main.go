@@ -4,7 +4,7 @@
 // by the selected placement policy (BWAP placements come from the
 // single-flight tuning cache, so repeat jobs skip re-profiling), and
 // advanced through simulated time by a background clock decoupled from wall
-// time. With -shards > 1 the shards advance concurrently, free-running
+// time. With -shards > 1 the machines advance concurrently, free-running
 // through conservative-lookahead windows with one barrier per window — the
 // daemon's multi-core scaling axis; the event log stays bit-identical for a
 // given seed regardless of the shard and worker counts. See the fleet
@@ -84,11 +84,21 @@ import (
 	"bwap/internal/topology"
 )
 
+// HTTP server timeouts: a client that trickles its headers or its body,
+// or parks an idle keep-alive connection, must not hold a connection open
+// indefinitely. ReadTimeout spans the whole request, body included; 30 s
+// still admits the 1 MiB /submit cap from a client sending 35 KB/s.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	machines := flag.Int("machines", 2, "fleet size")
-	shards := flag.Int("shards", 1, "shard count (per-shard event loops advanced in parallel)")
-	shardWorkers := flag.Int("shard-workers", 0, "goroutines advancing shards (0 = min(shards, GOMAXPROCS))")
+	shards := flag.Int("shards", 1, "shard count (routing and accounting slices of the fleet; caps -shard-workers)")
+	shardWorkers := flag.Int("shard-workers", 0, "goroutines advancing machines, capped at -shards; a window runs on min(shard-workers, GOMAXPROCS) (0 = min(shards, GOMAXPROCS))")
 	routing := flag.String("routing", fleet.RouteLeastLoaded, "job routing tier: least-loaded, hash-affinity, round-robin")
 	admission := flag.String("admission", fleet.AdmitMostFree, "node-selection policy: most-free, best-bandwidth, anti-affinity")
 	machine := flag.String("machine", "B", "machine model: A (8-node Opteron), B (4-node Xeon)")
@@ -294,9 +304,13 @@ func main() {
 	srv.Log = logger
 	srv.Start()
 
-	// A client that trickles its headers must not hold a connection open
-	// indefinitely.
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	drained := make(chan struct{})

@@ -6,13 +6,13 @@
 // The fleet's machines are partitioned into shards. Every machine is one
 // sim.Engine advanced in lockstep with the others (identical tick length),
 // so co-located jobs contend exactly as they do in the single-run
-// experiments; a bounded worker pool advances the shards concurrently,
+// experiments; a bounded worker pool advances the machines concurrently,
 // which is the daemon's multi-core scaling axis. Jobs never cross shards
 // once placed, and the event log is bit-identical for a given seed
 // regardless of the shard and worker counts.
 //
 // The scheduler pops events off one fleet event heap in (timestamp, event
-// kind, push sequence) order; between events it advances every shard in
+// kind, push sequence) order; between events it advances every machine in
 // windows no longer than the next scheduled event and every machine's
 // completion horizon allow, with one barrier per window, stopping after
 // the window in which any job completes so the completion becomes an event
@@ -67,9 +67,10 @@ type Config struct {
 	// (default 1; machine i belongs to shard i mod Shards). Must not
 	// exceed Machines.
 	Shards int
-	// Workers bounds the goroutines advancing shards between events
-	// (default min(Shards, GOMAXPROCS); clamped to Shards). The event log
-	// is bit-identical for any worker count.
+	// Workers bounds the goroutines advancing machines between events
+	// (default min(Shards, GOMAXPROCS); clamped to Shards). Each window
+	// runs on min(Workers, GOMAXPROCS) goroutines, the scheduler's own
+	// included. The event log is bit-identical for any worker count.
 	Workers int
 	// Routing selects the job→shard tier (default RouteLeastLoaded).
 	Routing string
@@ -335,9 +336,9 @@ type Fleet struct {
 	queue   []*Job // arrived, waiting for capacity; (Arrival, ID) order
 	running int
 
-	// compScratch backs gatherComps' merged completion slice. The returned
+	// compScratch backs collectComps' completion slice. The returned
 	// slice is consumed by the run loop before the next advance step, and
-	// gatherComps runs only on the scheduler goroutine, so one buffer per
+	// collectComps runs only on the scheduler goroutine, so one buffer per
 	// fleet is safe.
 	compScratch []*Job
 
@@ -646,8 +647,8 @@ func (f *Fleet) eps() float64 { return f.dt * 1e-6 }
 
 // run is the event loop. In drain mode it runs until no events remain and
 // no job is running (error if MaxSimTime is hit first); otherwise it stops
-// once the clock reaches target. The tick worker pool, if the fleet has
-// more than one worker, lives exactly as long as this invocation.
+// once the clock reaches target. The tick pool lives exactly as long as
+// this invocation.
 func (f *Fleet) run(target float64, drain bool) error {
 	defer f.stopPool()
 	for {
@@ -698,7 +699,7 @@ func (f *Fleet) run(target float64, drain bool) error {
 }
 
 // lookaheadWindow sizes the next advance window: the number of ticks the
-// shards may free-run without any barrier, capped so the clock stays
+// machines may free-run without any barrier, capped so the clock stays
 // strictly below t (the next scheduled event already on the heap) and
 // below every machine's completion horizon (the only event kind that
 // emerges from inside an engine rather than from the heap; see

@@ -1,67 +1,44 @@
 package fleet
 
-// shard is one independently advanced slice of the fleet: a fixed machine
-// set (global ids preserved, assigned round-robin by id so heterogeneous
-// fleets stay balanced) and shard-local statistics. Events and the clock
-// are fleet-wide; a shard owns only what a window mutates.
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
+
+// shard is one slice of the fleet for routing and accounting: a fixed
+// machine set (global ids preserved, assigned round-robin by id so
+// heterogeneous fleets stay balanced) and shard-local statistics. Events,
+// the clock and the tick pool are fleet-wide.
 //
-// Concurrency contract — the "shard barrier" every counter hides behind:
-// a shard is touched by at most one goroutine inside a window (freeRun on
-// the pool worker that owns it, or inline when the fleet has one worker),
-// and the scheduler touches shards only between windows. Everything a
-// window mutates (engines, busyNodeSeconds, the completion scratch) is
-// therefore exclusively owned at every instant, and Stats/ShardStats —
-// which run under the server mutex, never concurrently with an Advance —
-// read only quiescent state. The -race HTTP load test pins this.
+// Concurrency contract — the window barrier every counter hides behind:
+// inside a window exactly one goroutine advances each machine (whichever
+// claimed its index from the tick pool's counter), and a machine's engine
+// is all it touches. Busy-time charging and the completion scan run on
+// the scheduler after the barrier, so every shard field is written by the
+// scheduler goroutine alone, and Stats/ShardStats — which run under the
+// server mutex, never concurrently with an Advance — read only quiescent
+// state. The -race HTTP load test and the repeated -race TestTickPool
+// runs pin this.
 type shard struct {
 	id       int
 	machines []*machine // ascending global id
 	nodes    int
 
-	// Written by the owning worker during a window.
-	busyNodeSeconds float64
-	comps           []*Job // completions found this window, machine-ascending
-
-	// Written by the scheduler between windows.
+	busyNodeSeconds              float64
 	admitted, completed, retunes int
 	records                      int
 	cacheHits, cacheMisses       int64
 }
 
-// freeRun advances every machine k ticks with no synchronization at all —
-// one window of the fleet engine. Each engine greedily replays memoized
-// stretches and takes full Steps at every boundary (sim.AdvanceTicks).
-// The window sizer (lookaheadWindow) guarantees no completion and no
-// scheduled event falls inside the window, so nothing a worker does here
-// can interact across shards; the completion scan at the end is a
-// defensive backstop that surfaces a completion the horizon missed rather
-// than losing it. Busy-time charges repeat the per-tick additions in the
-// same (tick, machine) order as a tick-at-a-time loop — occupancy is
-// constant inside a window — so utilization accounting is independent of
-// how a span of ticks is cut into windows. The clock advances only in
-// advanceTo on the scheduler goroutine, so it has exactly one accumulation
-// sequence.
-func (s *shard) freeRun(k int, dt float64) {
-	for _, m := range s.machines {
-		m.eng.AdvanceTicks(k)
-	}
+// chargeBusy charges a k-tick window's busy-node time with the same
+// per-tick additions, in the same (tick, machine) order, as a tick-at-a-
+// time loop — occupancy is constant inside a window — so utilization
+// accounting is independent of how a span of ticks is cut into windows.
+func (s *shard) chargeBusy(k int, dt float64) {
 	for i := 0; i < k; i++ {
 		for _, m := range s.machines {
 			s.busyNodeSeconds += float64(len(m.free)-m.freeCount) * dt
-		}
-	}
-	s.collectComps()
-}
-
-// collectComps gathers jobs that completed during the window just run, in
-// (machine id, admission order).
-func (s *shard) collectComps() {
-	for _, m := range s.machines {
-		for _, j := range m.active {
-			if !j.seen && j.app.Done() {
-				j.seen = true
-				s.comps = append(s.comps, j)
-			}
 		}
 	}
 }
@@ -75,30 +52,21 @@ func (s *shard) running() int {
 	return n
 }
 
-// gatherComps drains every shard's per-window completion scratch into one
-// slice ordered by (machine id, admission order) — the exact order the
-// pre-sharding scan produced, so completion events get the same sequence
-// numbers regardless of how machines are partitioned.
-func (f *Fleet) gatherComps() []*Job {
-	total := 0
-	for _, s := range f.shards {
-		total += len(s.comps)
-	}
-	if total == 0 {
-		return nil
-	}
+// collectComps gathers the jobs that completed during the window just
+// run, in (machine id, admission order) — the order a single unsharded
+// scan discovers them in, so completion events get the same sequence
+// numbers however machines are partitioned or pulled. The window sizer
+// (lookaheadWindow) keeps completions out of a window's interior; the
+// scan is a defensive backstop that surfaces a completion the horizon
+// missed one window late rather than losing it.
+func (f *Fleet) collectComps() []*Job {
 	out := f.compScratch[:0]
-	for _, s := range f.shards {
-		out = append(out, s.comps...)
-		s.comps = s.comps[:0]
-	}
-	// Each shard's scratch is already machine-ascending; a stable
-	// insertion sort across shards keeps the per-machine admission order
-	// intact (equal machines never swap) without sort.SliceStable's
-	// closure and swapper allocations — completion batches are tiny.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Machine < out[j-1].Machine; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	for _, m := range f.machines {
+		for _, j := range m.active {
+			if !j.seen && j.app.Done() {
+				j.seen = true
+				out = append(out, j)
+			}
 		}
 	}
 	f.compScratch = out
@@ -114,86 +82,191 @@ func (f *Fleet) bumpClock(k int) {
 	}
 }
 
-// tickPool is the bounded worker pool advancing shards in parallel:
-// worker w owns shards w, w+W, ... and sleeps on its wake channel between
-// windows. The wake message carries the window's tick count. The pool is
-// created lazily by the first window of a run() invocation that needs it
-// and torn down when run() returns, so its lifetime spans many
-// inter-event advances instead of one goroutine spawn per event gap.
+// pollLimit bounds how often an idle tick-pool goroutine re-checks the
+// counter it waits on, yielding with runtime.Gosched between checks,
+// before it parks on its channel. A chaos window averages under three
+// ticks, so a channel park and unpark per window cost about as much as
+// the window's work, while a polling waiter sees the next window within
+// one yield. The bound is a count, not a time, because the fleet reads no
+// wall clock (bwapvet's walltime rule). A yield on an idle core takes
+// about 150–200 ns on a 2-vCPU VM, so 4,096 polls last 0.6–0.8 ms:
+// longer than the scheduler's usual gap between windows (256 polls were
+// measured too few to bridge it), short enough that a pool waiting out a
+// long gap (a tuning probe, a slow event burst) soon parks and stops
+// burning its core.
+const pollLimit = 4096
+
+// tickPool runs each window on min(Workers, GOMAXPROCS) goroutines: the
+// scheduler, which calls runWindow, plus one helper per remaining slot,
+// so no goroutine polls for a core it cannot have. All of them pull
+// machine indices from one counter, so a window ends when its costliest
+// machines are done rather than its busiest static share. The pool is
+// started by the first window of a run() invocation and stopped, its
+// helpers exited, before run() returns.
 type tickPool struct {
-	wake []chan int
-	done chan int
+	gen  atomic.Uint64 // bumped by the scheduler to publish a window or the stop
+	next atomic.Int64  // index into f.machines of the next machine to claim
+	busy atomic.Int64  // helpers not yet done with the current window
+	// k and stop are written by the scheduler before it bumps gen and read
+	// by helpers only after they see the bump.
+	k    int
+	stop bool
+
+	sched   parker   // the scheduler, waiting for busy to reach zero
+	helpers []parker // helper i, waiting for gen to move
+	wg      sync.WaitGroup
 }
 
-func (f *Fleet) ensurePool() *tickPool {
-	if f.pool != nil {
-		return f.pool
+// parker is where one pool goroutine sleeps once its polls run out.
+type parker struct {
+	parked atomic.Bool
+	wake   chan struct{} // capacity 1: the one token an unpark may owe
+}
+
+// await returns once ready reports true: it polls first, yielding between
+// checks, and parks after pollLimit polls. Whoever clears parked — the
+// waiter on a re-check, or the waker in unpark — decides whether a token
+// is sent, so a wake-up is never lost; a late token from an earlier
+// condition only costs one more check.
+func (w *parker) await(ready func() bool) {
+	for i := 0; !ready(); i++ {
+		if i < pollLimit {
+			runtime.Gosched()
+			continue
+		}
+		w.parked.Store(true)
+		if ready() && w.parked.CompareAndSwap(true, false) {
+			return
+		}
+		<-w.wake
 	}
-	nw := f.workers
-	p := &tickPool{wake: make([]chan int, nw), done: make(chan int, nw)}
-	for w := 0; w < nw; w++ {
-		p.wake[w] = make(chan int)
-		go func(w int) {
-			for k := range p.wake[w] {
-				f.runShards(w, k)
-				p.done <- w
-			}
-		}(w)
+}
+
+// unpark wakes w if it is parked. Call it after making w's condition true.
+func (w *parker) unpark() {
+	if w.parked.CompareAndSwap(true, false) {
+		w.wake <- struct{}{}
+	}
+}
+
+// startPool builds the run's tick pool and its helper goroutines.
+func (f *Fleet) startPool() *tickPool {
+	p := &tickPool{sched: parker{wake: make(chan struct{}, 1)}}
+	p.helpers = make([]parker, min(f.workers, runtime.GOMAXPROCS(0))-1)
+	p.wg.Add(len(p.helpers))
+	for i := range p.helpers {
+		w := &p.helpers[i]
+		w.wake = make(chan struct{}, 1)
+		go f.help(p, w)
 	}
 	f.pool = p
 	return p
 }
 
-// stopPool releases the pool's workers; the wake-channel close makes each
-// goroutine's range loop exit.
+// help is a helper goroutine's loop: wait for a window, pull machines
+// until none are left, check out, and exit once the pool stops.
+func (f *Fleet) help(p *tickPool, w *parker) {
+	defer p.wg.Done()
+	var seen uint64
+	for {
+		w.await(func() bool { return p.gen.Load() != seen })
+		// gen cannot move again before this helper checks out of busy.
+		seen = p.gen.Load()
+		if p.stop {
+			return
+		}
+		f.pullMachines(p)
+		if p.busy.Add(-1) == 0 {
+			p.sched.unpark()
+		}
+	}
+}
+
+// pullMachines advances machines claimed from the pool's counter until
+// the window has none left.
+func (f *Fleet) pullMachines(p *tickPool) {
+	for {
+		i := int(p.next.Add(1) - 1)
+		if i >= len(f.machines) {
+			return
+		}
+		f.machines[i].eng.AdvanceTicks(p.k)
+	}
+}
+
+// stopPool ends the run's tick pool and returns once every helper has
+// exited.
 func (f *Fleet) stopPool() {
-	if f.pool == nil {
+	p := f.pool
+	if p == nil {
 		return
 	}
-	for _, c := range f.pool.wake {
-		close(c)
-	}
+	p.stop = true
+	p.publish()
+	p.wg.Wait()
 	f.pool = nil
 }
 
-// runShards runs worker w's share of a k-tick window: shards w, w+W, ...
-// for W workers.
-func (f *Fleet) runShards(w, k int) {
-	for si := w; si < len(f.shards); si += f.workers {
-		f.shards[si].freeRun(k, f.dt)
+// publish bumps the generation and wakes parked helpers; the scheduler
+// sets k, next, busy or stop first.
+func (p *tickPool) publish() {
+	p.gen.Add(1)
+	for i := range p.helpers {
+		p.helpers[i].unpark()
 	}
 }
 
-// advanceTo is the fleet engine: it advances every shard until the clock
-// reaches t, one window at a time, stopping after the first window in
-// which any job completes; the newly completed jobs are returned so the
-// run loop can turn them into events. Each window is a barrier: its size
-// comes from lookaheadWindow, every shard free-runs that many ticks, and
-// only then do the clock and the completions move. With one worker the
-// shards run inline on the scheduler goroutine; otherwise the pool's
-// workers run them and the window ends when all have replied. Determinism
-// does not depend on the worker count: shards share no state, the clock
-// advances on the scheduler goroutine, and gatherComps orders completions
-// by machine id.
+// runWindow advances every machine k ticks — one window of the fleet
+// engine. Each engine greedily replays memoized stretches and takes full
+// Steps at every boundary (sim.AdvanceTicks). The window sizer guarantees
+// no completion and no scheduled event falls inside the window, and
+// engines share no state, so the goroutine a machine lands on cannot
+// change what it computes. The scheduler publishes the window, works
+// through the counter alongside the helpers, then waits until every
+// helper has checked out: after that no machine is touched until the next
+// window. A one-worker fleet runs the window inline: a pool with no
+// helper would only add its start, stop and atomics to every run()
+// (about 400 ns and two allocations per 1-tick Advance).
+func (f *Fleet) runWindow(k int) {
+	if f.workers == 1 {
+		for _, m := range f.machines {
+			m.eng.AdvanceTicks(k)
+		}
+		return
+	}
+	p := f.pool
+	if p == nil {
+		p = f.startPool()
+	}
+	p.k = k
+	p.next.Store(0)
+	p.busy.Store(int64(len(p.helpers)))
+	p.publish()
+	f.pullMachines(p)
+	p.sched.await(func() bool { return p.busy.Load() == 0 })
+}
+
+// advanceTo is the fleet engine: it advances every machine until the
+// clock reaches t, one window at a time, stopping after the first window
+// in which any job completes; the newly completed jobs are returned so
+// the run loop can turn them into events. Each window is a barrier: its
+// size comes from lookaheadWindow, every machine free-runs that many
+// ticks, and only then do busy time, the clock and the completions move,
+// on the scheduler goroutine. Determinism does not depend on the worker
+// count: machines share no state, the clock advances on the scheduler
+// goroutine, and collectComps orders completions by machine id.
 func (f *Fleet) advanceTo(t float64) []*Job {
 	var comps []*Job
 	for f.now+f.eps() < t {
 		k := f.lookaheadWindow(t)
 		f.batches++
 		f.batchTicksSum += int64(k)
-		if f.workers == 1 {
-			f.runShards(0, k)
-		} else {
-			p := f.ensurePool()
-			for _, c := range p.wake {
-				c <- k
-			}
-			for range p.wake {
-				<-p.done
-			}
+		f.runWindow(k)
+		for _, s := range f.shards {
+			s.chargeBusy(k, f.dt)
 		}
 		f.bumpClock(k)
-		if comps = f.gatherComps(); len(comps) > 0 {
+		if comps = f.collectComps(); len(comps) > 0 {
 			break
 		}
 	}

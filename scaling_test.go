@@ -1,18 +1,57 @@
-// The multi-core scaling gate: a hard pass/fail wrapper around the
-// BenchmarkFleetThroughputSharded axis, run only by the CI multicore job
-// (GOMAXPROCS >= 4). Benchmarks report numbers; this test enforces one —
-// 4 shards must beat 1 shard in wall time on the identical warm-cache
-// stream.
+// The multi-core scaling gates: hard pass/fail wrappers around the
+// BenchmarkFleetThroughputSharded axis, run only by the CI multicore job.
+// Benchmarks report numbers; these tests enforce two — 4 shards must beat
+// 1 shard in wall time on the identical warm-cache stream at GOMAXPROCS
+// >= 4, and 2 shards must beat 1 at GOMAXPROCS 2.
 package bwap_test
 
 import (
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"bwap"
 )
+
+// scalingJobs is the gates' stream length.
+const scalingJobs = 48
+
+// scalingRun times one drained run of the gates' stream — 48 Streamcluster
+// jobs on 8 machines — at the given shard count, with the worker pool
+// sized to match and a shared (warm) tuning cache.
+func scalingRun(t *testing.T, cache *bwap.TuningCache, shards int) time.Duration {
+	t.Helper()
+	stream := []bwap.StreamSpec{{
+		Workload: bwap.Streamcluster(),
+		Arrival:  bwap.ArrivalSpec{Process: "poisson", Rate: 2.0, Count: scalingJobs},
+		Workers:  2, WorkScale: 0.05,
+	}}
+	start := time.Now()
+	f, err := bwap.NewFleet(bwap.FleetConfig{
+		Machines: 8,
+		Shards:   shards,
+		Workers:  shards,
+		SimCfg:   bwap.Config{Seed: 1},
+		Seed:     1,
+		Cache:    cache,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SubmitStream(stream); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Completed != scalingJobs {
+		t.Fatalf("%d shards completed %d/%d jobs", shards, stats.Completed, scalingJobs)
+	}
+	return time.Since(start)
+}
 
 // TestShardScalingMultiCoreGate fails if the fleet engine does not scale
 // with shards. Guarded by BWAP_SCALING_TEST=1 so single-core
@@ -26,38 +65,8 @@ func TestShardScalingMultiCoreGate(t *testing.T) {
 		t.Skipf("scaling gate needs >= 4 CPUs, have %d", n)
 	}
 
-	const jobs = 48
-	stream := []bwap.StreamSpec{{
-		Workload: bwap.Streamcluster(),
-		Arrival:  bwap.ArrivalSpec{Process: "poisson", Rate: 2.0, Count: jobs},
-		Workers:  2, WorkScale: 0.05,
-	}}
 	cache := bwap.NewTuningCache(bwap.Config{Seed: 1}, 0, 1)
-	run := func(shards int) time.Duration {
-		start := time.Now()
-		f, err := bwap.NewFleet(bwap.FleetConfig{
-			Machines: 8,
-			Shards:   shards,
-			Workers:  shards,
-			SimCfg:   bwap.Config{Seed: 1},
-			Seed:     1,
-			Cache:    cache,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.SubmitStream(stream); err != nil {
-			t.Fatal(err)
-		}
-		stats, err := f.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Completed != jobs {
-			t.Fatalf("%d shards completed %d/%d jobs", shards, stats.Completed, jobs)
-		}
-		return time.Since(start)
-	}
+	run := func(shards int) time.Duration { return scalingRun(t, cache, shards) }
 	run(1) // warm the shared tuning cache outside any measured run
 
 	// Best-of-5 per shard count: the gate compares the machines' capability,
@@ -76,6 +85,45 @@ func TestShardScalingMultiCoreGate(t *testing.T) {
 	if t4 >= t1 {
 		t.Fatalf("4 shards (%v) not faster than 1 shard (%v) on a %d-CPU runner",
 			t4, t1, runtime.NumCPU())
+	}
+}
+
+// TestShardScalingTwoCoreGate is the two-core sibling of the gate above:
+// at GOMAXPROCS 2, 2 shards (a tick pool of the scheduler plus one
+// helper) must beat 1 shard in wall time. A run is ~10–15 ms, short
+// enough that best-of-5 flips either way with host noise, so the gate
+// compares medians of 41 interleaved runs per shard count, alternating
+// which side goes first. Same BWAP_SCALING_TEST guard as the 4-shard gate.
+func TestShardScalingTwoCoreGate(t *testing.T) {
+	if os.Getenv("BWAP_SCALING_TEST") != "1" {
+		t.Skip("set BWAP_SCALING_TEST=1 (CI multicore job) to run the scaling gate")
+	}
+	if n := runtime.NumCPU(); n < 2 {
+		t.Skipf("two-core gate needs >= 2 CPUs, have %d", n)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+
+	cache := bwap.NewTuningCache(bwap.Config{Seed: 1}, 0, 1)
+	scalingRun(t, cache, 1) // warm the shared tuning cache and code paths
+	scalingRun(t, cache, 2)
+	const runs = 41
+	var t1, t2 []time.Duration
+	for i := 0; i < runs; i++ {
+		if i%2 == 0 {
+			t1 = append(t1, scalingRun(t, cache, 1))
+			t2 = append(t2, scalingRun(t, cache, 2))
+		} else {
+			t2 = append(t2, scalingRun(t, cache, 2))
+			t1 = append(t1, scalingRun(t, cache, 1))
+		}
+	}
+	slices.Sort(t1)
+	slices.Sort(t2)
+	m1, m2 := t1[runs/2], t2[runs/2]
+	t.Logf("median wall time over %d runs: 1 shard %v (quartiles %v–%v), 2 shards %v (quartiles %v–%v), %.2fx",
+		runs, m1, t1[runs/4], t1[3*runs/4], m2, t2[runs/4], t2[3*runs/4], float64(m1)/float64(m2))
+	if m2 >= m1 {
+		t.Fatalf("2 shards (median %v) not faster than 1 shard (median %v) at GOMAXPROCS 2", m2, m1)
 	}
 }
 
