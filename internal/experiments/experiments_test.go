@@ -86,6 +86,24 @@ func TestFig1bShape(t *testing.T) {
 	}
 }
 
+// TestFig1bEvalsCountsEvaluations: the figure reports the evaluations its
+// searches made, not the budget asked for, so an odd budget split over the
+// two starts reports the one evaluation it could not spend.
+func TestFig1bEvalsCountsEvaluations(t *testing.T) {
+	p := MachineA().Quick()
+	p.SearchBudget = 7
+	f, err := RunFig1b(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Evals != 6 {
+		t.Fatalf("Evals = %d, want 6 (two starts of 3)", f.Evals)
+	}
+	if !strings.Contains(f.Render(), "(search budget: 6 evaluations per benchmark)") {
+		t.Fatalf("render does not report 6 evaluations:\n%s", f.Render())
+	}
+}
+
 // TestTable1Shape: the characterization must reproduce the access mix of
 // Table I and the demand ordering of the benchmarks.
 func TestTable1Shape(t *testing.T) {

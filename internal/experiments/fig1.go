@@ -72,23 +72,45 @@ type Fig1bRow struct {
 // 8 threads each, on Machine A.
 type Fig1b struct {
 	Rows []Fig1bRow
-	// Evals is the per-benchmark evaluation budget of the search.
+	// Evals is the number of objective evaluations each benchmark's
+	// search made (the most any made, should a climb stop early).
 	Evals int
 }
 
 // RunFig1b reproduces Figure 1b: for each benchmark, hill-climb the
 // N-dimensional weight space (starting from uniform-workers, as the paper
 // does) and normalize the standard policies against the top-10 mean.
+//
+// Every climb of every benchmark and every baseline run is one task of a
+// single flat fan-out, climbs first: the climbs are the long tasks and
+// differ several-fold in cost, and a fan-out per benchmark, nested or not,
+// leaves a slot idle behind its slowest climb (DESIGN.md §4). Each
+// benchmark's climbs are then merged in start order, as
+// search.HillClimbMulti merges them.
 func RunFig1b(p *Profile) (*Fig1b, error) {
 	workers, err := p.Workers(2)
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig1b{Evals: p.SearchBudget}
 	benches := workload.Benchmarks()
-	out.Rows = make([]Fig1bRow, len(benches))
-	err = parallelFor(len(benches), func(i int) error {
-		spec := benches[i]
+	// The paper climbs from uniform-workers; a second start at uniform-all
+	// keeps the oracle strong at reduced budgets.
+	starts := [][]float64{
+		search.UniformOver(p.M.NumNodes(), nodeInts(workers)),
+		search.Uniform(p.M.NumNodes()),
+	}
+	perStart := search.StartBudget(p.SearchBudget, len(starts))
+	policies := []string{"first-touch", "uniform-workers", "uniform-all"}
+	climbs := make([]*search.Result, len(benches)*len(starts))
+	baselines := make([]RunResult, len(benches)*len(policies))
+	err = parallelFor(len(climbs)+len(baselines), func(i int) error {
+		if i >= len(climbs) {
+			i -= len(climbs)
+			r, err := p.Run(benches[i/len(policies)], workers, policies[i%len(policies)], false)
+			baselines[i] = r
+			return err
+		}
+		spec := benches[i/len(starts)]
 		objective := func(w []float64) float64 {
 			t, err := p.staticWeightedTime(spec, workers, w)
 			if err != nil {
@@ -96,39 +118,27 @@ func RunFig1b(p *Profile) (*Fig1b, error) {
 			}
 			return t
 		}
-		// The paper climbs from uniform-workers; a second start at
-		// uniform-all keeps the oracle strong at reduced budgets.
-		starts := [][]float64{
-			search.UniformOver(p.M.NumNodes(), nodeInts(workers)),
-			search.Uniform(p.M.NumNodes()),
-		}
-		res, err := search.HillClimbMulti(objective, starts, 0.10, p.SearchBudget)
-		if err != nil {
-			return err
-		}
-		oracle := res.MeanTopK(10)
-
-		row := Fig1bRow{Benchmark: spec.Name, OracleTime: oracle, OracleBest: res.Best.Weights}
-		for _, pol := range []string{"first-touch", "uniform-workers", "uniform-all"} {
-			r, err := p.Run(spec, workers, pol, false)
-			if err != nil {
-				return err
-			}
-			norm := oracle / r.Time
-			switch pol {
-			case "first-touch":
-				row.FirstTouch = norm
-			case "uniform-workers":
-				row.UniformWorkers = norm
-			case "uniform-all":
-				row.UniformAll = norm
-			}
-		}
-		out.Rows[i] = row
-		return nil
+		r, err := search.HillClimbWeights(objective, starts[i%len(starts)], 0.10, perStart)
+		climbs[i] = r
+		return err
 	})
 	if err != nil {
 		return nil, err
+	}
+	out := &Fig1b{Rows: make([]Fig1bRow, len(benches))}
+	for b, spec := range benches {
+		res := search.MergeClimbs(climbs[b*len(starts) : (b+1)*len(starts)])
+		out.Evals = max(out.Evals, res.Evals)
+		oracle := res.MeanTopK(10)
+		base := baselines[b*len(policies):]
+		out.Rows[b] = Fig1bRow{
+			Benchmark:      spec.Name,
+			FirstTouch:     oracle / base[0].Time,
+			UniformWorkers: oracle / base[1].Time,
+			UniformAll:     oracle / base[2].Time,
+			OracleTime:     oracle,
+			OracleBest:     res.Best.Weights,
+		}
 	}
 	return out, nil
 }

@@ -216,3 +216,24 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 		t.Fatalf("parallel figure diverged from serial:\n serial  %s\n parallel %s", s, p)
 	}
 }
+
+// TestParallelFig1bMatchesSerial pins Figure 1b's flat fan-out of climbs
+// and baseline runs: a one-slot pool and an eight-slot pool produce the
+// same figure, every normalized score and each oracle's best weights
+// included, because climbs land in index-addressed slots and are merged in
+// start order.
+func TestParallelFig1bMatchesSerial(t *testing.T) {
+	defer SetMaxParallel(0)
+	var figs []string
+	for _, pool := range []int{1, 8} {
+		SetMaxParallel(pool)
+		f, err := RunFig1b(MachineA().Quick())
+		if err != nil {
+			t.Fatal(err)
+		}
+		figs = append(figs, fmt.Sprintf("%+v", f))
+	}
+	if figs[0] != figs[1] {
+		t.Fatalf("parallel Figure 1b diverged from serial:\n serial   %s\n parallel %s", figs[0], figs[1])
+	}
+}

@@ -51,6 +51,17 @@ import (
 // can tell a transient overload from an invalid request.
 var ErrQueueFull = errors.New("fleet: admission queue full")
 
+// ErrBadSpec is returned (wrapped) by Submit for a job too large to run:
+// its scaled work volume, shared segment or per-node private segment is
+// more than maxSpecScale times the largest built-in benchmark's. One such
+// job would hold a machine for as long as its work lasts while the jobs
+// behind it queue; the HTTP layer answers 400.
+var ErrBadSpec = errors.New("fleet: job exceeds the size bound")
+
+// maxSpecScale is how many times the largest built-in benchmark's work
+// volume and footprint a submitted job may have.
+const maxSpecScale = 10
+
 // Placement policy names accepted by Config.Policy.
 const (
 	PolicyBWAP           = "bwap"
@@ -503,6 +514,9 @@ func (f *Fleet) Submit(spec workload.Spec, workers int, workScale, at float64) (
 	if workScale <= 0 || math.IsNaN(workScale) || math.IsInf(workScale, 0) {
 		return nil, fmt.Errorf("fleet: work scale %g must be positive and finite", workScale)
 	}
+	if err := checkSpecSize(spec, workScale); err != nil {
+		return nil, err
+	}
 	if math.IsNaN(at) || math.IsInf(at, 0) {
 		return nil, fmt.Errorf("fleet: arrival %g is not finite", at)
 	}
@@ -533,6 +547,31 @@ func (f *Fleet) Submit(spec workload.Spec, workers int, workScale, at float64) (
 	f.push(at, evArrive, job, -1)
 	f.prefetch(job)
 	return job, nil
+}
+
+// checkSpecSize enforces the ErrBadSpec bound. It belongs to the fleet,
+// not to workload.Spec.Validate: simulator tests and benchmarks run
+// steady-state specs of 1e9 GB and more on purpose.
+func checkSpecSize(spec workload.Spec, workScale float64) error {
+	var work, shared, private float64
+	for _, b := range workload.Benchmarks() {
+		work = max(work, b.WorkGB)
+		shared = max(shared, b.SharedGB)
+		private = max(private, b.PrivateGBPerNode)
+	}
+	for _, c := range []struct {
+		what      string
+		gb, bound float64
+	}{
+		{"scaled work volume", spec.WorkGB * workScale, work},
+		{"shared segment", spec.SharedGB, shared},
+		{"private segment", spec.PrivateGBPerNode, private},
+	} {
+		if !(c.gb <= maxSpecScale*c.bound) { // NaN fails too
+			return fmt.Errorf("%w: %s of %g GB, limit %g GB", ErrBadSpec, c.what, c.gb, maxSpecScale*c.bound)
+		}
+	}
+	return nil
 }
 
 // prefetch hints the tuning cache's probe pool with the key this job's

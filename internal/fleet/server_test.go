@@ -476,3 +476,59 @@ func TestServerSubmitLatencyDrop(t *testing.T) {
 	}
 	t.Logf("miss=%v hit=%v (%.1fx)", missLatency, hitLatency, float64(missLatency)/float64(hitLatency))
 }
+
+// TestServerRejectsOversizedSpec pins the size bound on submitted jobs: a
+// spec whose scaled work volume or footprint is beyond maxSpecScale times
+// the largest built-in benchmark's is refused with 400 before it enters
+// the fleet, the fleet still accounts for every job, and the next valid
+// job is admitted onto the machine the oversized one would have held.
+func TestServerRejectsOversizedSpec(t *testing.T) {
+	f, err := New(Config{
+		Machines:   1,
+		NewMachine: smallMachine,
+		SimCfg:     sim.Config{Seed: 5},
+		Policy:     PolicyFirstTouch,
+		Seed:       5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(f).Handler())
+	t.Cleanup(ts.Close)
+	spec := func(workGB, sharedGB, privateGB string) string {
+		return `{"spec":{"Name":"big","ReadGBs":10,"WriteGBs":1,"PrivateFrac":0.3,"WorkGB":` + workGB +
+			`,"SharedGB":` + sharedGB + `,"PrivateGBPerNode":` + privateGB + `},"workers":4`
+	}
+	for _, c := range []struct{ name, body string }{
+		{"work volume", spec("1e300", "0.25", "0.1") + `}`},
+		{"work scale", `{"workload":"OC","workers":4,"work_scale":1e6}`},
+		{"shared segment", spec("400", "1e6", "0.1") + `}`},
+		{"private segment", spec("400", "0.25", "1e6") + `}`},
+	} {
+		resp, err := http.Post(ts.URL+"/submit", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "size bound") {
+			t.Fatalf("%s: status %d (%s), want 400 naming the size bound", c.name, resp.StatusCode, body)
+		}
+		if n := len(f.Jobs()); n != 0 {
+			t.Fatalf("%s: rejected job entered the fleet (%d jobs)", c.name, n)
+		}
+		if err := f.Conservation(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+	}
+	out := postSubmit(t, ts.URL, spec("400", "0.25", "0.1")+`}`)
+	if len(out.IDs) != 1 {
+		t.Fatalf("valid job after the rejections: ids %v", out.IDs)
+	}
+	if j := f.Job(out.IDs[0]); j.State != JobRunning {
+		t.Fatalf("valid job after the rejections is %v, want running", j.State)
+	}
+	if err := f.Conservation(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -194,15 +195,25 @@ func checkEquiv(t *testing.T, step string, s *Segment, ref *refSegment) {
 // TestIntervalMatchesPerPageReference drives randomized operation
 // sequences through both implementations and demands byte-identical node
 // assignments, counts, fractions and migration volume after every step.
-// The last trials span three walk checkpoints and a partial stride, so
-// weighted runs split past a checkpoint are counted, compared and walked
-// from checkpoints other than page 0.
+// The last trials of each machine size span three walk checkpoints and a
+// partial stride, so weighted runs split past a checkpoint are counted,
+// compared and walked from checkpoints other than page 0. The 8- and
+// 12-node trials reach the eight-lane walk kernel and the scalar loop
+// past it; each size draws from its own rng, so adding sizes leaves the
+// 4-node trials' random stream as it was.
 func TestIntervalMatchesPerPageReference(t *testing.T) {
-	const numNodes = 4
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 66; trial++ {
+	intervalTrials(t, 4, rand.New(rand.NewSource(7)), 66, 60)
+	intervalTrials(t, 8, rand.New(rand.NewSource(8)), 14, 12)
+	intervalTrials(t, 12, rand.New(rand.NewSource(12)), 14, 12)
+}
+
+// intervalTrials runs trials random operation sequences on a machine of
+// numNodes nodes; trials from big on use 3·walkStride+17 pages.
+func intervalTrials(t *testing.T, numNodes int, rng *rand.Rand, trials, big int) {
+	t.Helper()
+	for trial := 0; trial < trials; trial++ {
 		pageCount := 1 + rng.Intn(600)
-		if trial >= 60 {
+		if trial >= big {
 			pageCount = 3*walkStride + 17
 		}
 		as := NewAddressSpace(numNodes)
@@ -262,7 +273,7 @@ func TestIntervalMatchesPerPageReference(t *testing.T) {
 			case 4: // drain returns the delta since the previous drain
 				got := as.DrainMigratedBytes()
 				if want := ref.migrated - refDrained; got != want {
-					t.Fatalf("trial %d op %d: drain = %d, ref %d", trial, op, got, want)
+					t.Fatalf("%d nodes, trial %d op %d: drain = %d, ref %d", numNodes, trial, op, got, want)
 				}
 				refDrained = ref.migrated
 			case 5: // rate-limited migration toward a random distribution
@@ -279,10 +290,10 @@ func TestIntervalMatchesPerPageReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				if want := ref.migrateToward(target, budget); moved != want {
-					t.Fatalf("trial %d op %d: MigrateToward moved %d, ref %d", trial, op, moved, want)
+					t.Fatalf("%d nodes, trial %d op %d: MigrateToward moved %d, ref %d", numNodes, trial, op, moved, want)
 				}
 			}
-			checkEquiv(t, "after op", s, ref)
+			checkEquiv(t, fmt.Sprintf("%d nodes, trial %d op %d", numNodes, trial, op), s, ref)
 		}
 	}
 }

@@ -347,9 +347,27 @@ func (wk *walk) seek(p int) {
 }
 
 // steps advances the walk state credit (and count, unless nil) by n pages
-// and returns the index into nodes of the last page's node.
+// and returns the index into nodes of the last page's node (-1 when n is
+// zero). Walks over two to eight nodes run a kernel specialized to their
+// width; one node and more than eight take the scalar loop.
 func (wk *walk) steps(credit []float64, count []int64, n int) int {
 	w := wk.w[:len(credit)]
+	switch len(w) {
+	case 2:
+		return steps2(credit, count, w, n)
+	case 3, 4:
+		return steps4(credit, count, w, n)
+	case 5, 6, 7, 8:
+		return steps8(credit, count, w, n)
+	}
+	return stepsScalar(credit, count, w, n)
+}
+
+// stepsScalar is the walk step over any number of nodes: every credit
+// accrues its weight in ascending node order, the page goes to the highest
+// credit (a strict > scan, so the lowest index wins ties) and the winner
+// pays one page. The width kernels below reproduce it bit for bit.
+func stepsScalar(credit []float64, count []int64, w []float64, n int) int {
 	best := -1
 	for ; n > 0; n-- {
 		best = 0
@@ -366,6 +384,163 @@ func (wk *walk) steps(credit []float64, count []int64, n int) int {
 		if count != nil {
 			count[best]++
 		}
+	}
+	return best
+}
+
+// The width kernels keep every credit, weight and count in a local for the
+// whole run instead of loading and storing them each page. Lanes past the
+// walk's width start at credit −Inf with weight 0: −Inf + 0 stays −Inf, so
+// such a lane never wins a strict > and never ties a finite credit. The
+// winner is picked by a pairwise tournament in which the left side wins
+// unless the right side is strictly greater, which yields the lowest index
+// among equal maxima, the scalar loop's tie rule.
+
+// steps2 is stepsScalar for two nodes.
+func steps2(credit []float64, count []int64, w []float64, n int) int {
+	c0, c1 := credit[0], credit[1]
+	w0, w1 := w[0], w[1]
+	var n1 int64
+	best := -1
+	for i := n; i > 0; i-- {
+		c0 += w0
+		c1 += w1
+		if c1 > c0 {
+			c1--
+			n1++
+			best = 1
+		} else {
+			c0--
+			best = 0
+		}
+	}
+	credit[0], credit[1] = c0, c1
+	if count != nil {
+		count[0] += int64(n) - n1
+		count[1] += n1
+	}
+	return best
+}
+
+// steps4 is stepsScalar for three or four nodes.
+func steps4(credit []float64, count []int64, w []float64, n int) int {
+	inf := math.Inf(-1)
+	cs := [4]float64{inf, inf, inf, inf}
+	var ws [4]float64
+	copy(cs[:], credit)
+	copy(ws[:], w)
+	c0, c1, c2, c3 := cs[0], cs[1], cs[2], cs[3]
+	w0, w1, w2, w3 := ws[0], ws[1], ws[2], ws[3]
+	var ns [4]int64
+	best := -1
+	for ; n > 0; n-- {
+		c0 += w0
+		c1 += w1
+		c2 += w2
+		c3 += w3
+		a, ta := 0, c0
+		if c1 > ta {
+			a, ta = 1, c1
+		}
+		b, tb := 2, c2
+		if c3 > tb {
+			b, tb = 3, c3
+		}
+		if tb > ta {
+			a = b
+		}
+		switch a {
+		case 0:
+			c0--
+		case 1:
+			c1--
+		case 2:
+			c2--
+		case 3:
+			c3--
+		}
+		ns[a&3]++
+		best = a
+	}
+	cs = [4]float64{c0, c1, c2, c3}
+	copy(credit, cs[:])
+	for j := range count {
+		count[j] += ns[j]
+	}
+	return best
+}
+
+// steps8 is stepsScalar for five to eight nodes. The winner's switch has a
+// case per lane, which the compiler turns into a jump table.
+func steps8(credit []float64, count []int64, w []float64, n int) int {
+	inf := math.Inf(-1)
+	cs := [8]float64{inf, inf, inf, inf, inf, inf, inf, inf}
+	var ws [8]float64
+	copy(cs[:], credit)
+	copy(ws[:], w)
+	c0, c1, c2, c3, c4, c5, c6, c7 := cs[0], cs[1], cs[2], cs[3], cs[4], cs[5], cs[6], cs[7]
+	w0, w1, w2, w3, w4, w5, w6, w7 := ws[0], ws[1], ws[2], ws[3], ws[4], ws[5], ws[6], ws[7]
+	var ns [8]int64
+	best := -1
+	for ; n > 0; n-- {
+		c0 += w0
+		c1 += w1
+		c2 += w2
+		c3 += w3
+		c4 += w4
+		c5 += w5
+		c6 += w6
+		c7 += w7
+		a, ta := 0, c0
+		if c1 > ta {
+			a, ta = 1, c1
+		}
+		b, tb := 2, c2
+		if c3 > tb {
+			b, tb = 3, c3
+		}
+		if tb > ta {
+			a, ta = b, tb
+		}
+		b, tb = 4, c4
+		if c5 > tb {
+			b, tb = 5, c5
+		}
+		d, td := 6, c6
+		if c7 > td {
+			d, td = 7, c7
+		}
+		if td > tb {
+			b, tb = d, td
+		}
+		if tb > ta {
+			a = b
+		}
+		switch a {
+		case 0:
+			c0--
+		case 1:
+			c1--
+		case 2:
+			c2--
+		case 3:
+			c3--
+		case 4:
+			c4--
+		case 5:
+			c5--
+		case 6:
+			c6--
+		case 7:
+			c7--
+		}
+		ns[a&7]++
+		best = a
+	}
+	cs = [8]float64{c0, c1, c2, c3, c4, c5, c6, c7}
+	copy(credit, cs[:])
+	for j := range count {
+		count[j] += ns[j]
 	}
 	return best
 }

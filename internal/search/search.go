@@ -140,32 +140,47 @@ func perturb(w []float64, dim int, delta float64) []float64 {
 }
 
 // HillClimbMulti runs HillClimbWeights from several starting points,
-// splitting the budget evenly, and merges the histories into one Result.
-// The paper's single 180-evaluation climb from uniform-workers explores a
-// large sample of the landscape; at the reduced budgets tests and
-// benchmarks use, restarting from structurally different points (e.g.
-// uniform-workers and uniform-all) recovers that coverage.
+// splitting the budget evenly (StartBudget), and merges the histories into
+// one Result (MergeClimbs). The paper's single 180-evaluation climb from
+// uniform-workers explores a large sample of the landscape; at the reduced
+// budgets tests and benchmarks use, restarting from structurally different
+// points (e.g. uniform-workers and uniform-all) recovers that coverage.
 func HillClimbMulti(eval Eval, starts [][]float64, step float64, budget int) (*Result, error) {
 	if len(starts) == 0 {
 		return nil, fmt.Errorf("search: no start points")
 	}
-	merged := &Result{}
-	per := budget / len(starts)
-	if per < 1 {
-		per = 1
-	}
-	for _, start := range starts {
-		r, err := HillClimbWeights(eval, start, step, per)
+	climbs := make([]*Result, len(starts))
+	for i, start := range starts {
+		r, err := HillClimbWeights(eval, start, step, StartBudget(budget, len(starts)))
 		if err != nil {
 			return nil, err
 		}
+		climbs[i] = r
+	}
+	return MergeClimbs(climbs), nil
+}
+
+// StartBudget is the evaluation budget each of starts climbs gets when a
+// multi-start search splits budget evenly: at least one evaluation each.
+func StartBudget(budget, starts int) int {
+	return max(1, budget/starts)
+}
+
+// MergeClimbs merges the climbs of one multi-start search, given in start
+// order: histories are concatenated and evaluations summed, and Best is
+// the lowest-scoring climb's best, the earliest such climb's on a tie.
+// Climbs run separately (for example on a worker pool) and merged here
+// give exactly HillClimbMulti's result.
+func MergeClimbs(climbs []*Result) *Result {
+	merged := &Result{}
+	for _, r := range climbs {
 		merged.History = append(merged.History, r.History...)
 		merged.Evals += r.Evals
 		if merged.Best.Weights == nil || r.Best.Score < merged.Best.Score {
 			merged.Best = r.Best
 		}
 	}
-	return merged, nil
+	return merged
 }
 
 // Ascend1D performs the DWP tuner's fixed-step 1-D search in its offline

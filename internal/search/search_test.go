@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -172,5 +173,47 @@ func TestHillClimbMultiTinyBudget(t *testing.T) {
 	}
 	if len(res.History) < 2 {
 		t.Fatalf("history = %d", len(res.History))
+	}
+}
+
+// TestMergeClimbsMatchesHillClimbMulti pins the merge a pooled multi-start
+// search relies on: climbs run one by one at StartBudget and merged by
+// MergeClimbs equal HillClimbMulti, history order included, at an even, an
+// odd and a below-one-per-start budget; the merge concatenates histories
+// in start order, sums evaluations, and keeps the earliest of equally good
+// bests.
+func TestMergeClimbsMatchesHillClimbMulti(t *testing.T) {
+	eval := sphere([]float64{0.6, 0.25, 0.1, 0.05})
+	starts := [][]float64{UniformOver(4, []int{0, 1}), Uniform(4), UniformOver(4, []int{3})}
+	for _, budget := range []int{120, 61, 2} {
+		want, err := HillClimbMulti(eval, starts, 0.1, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		climbs := make([]*Result, len(starts))
+		var history []Candidate
+		evals := 0
+		for i, start := range starts {
+			if climbs[i], err = HillClimbWeights(eval, start, 0.1, StartBudget(budget, len(starts))); err != nil {
+				t.Fatal(err)
+			}
+			history = append(history, climbs[i].History...)
+			evals += climbs[i].Evals
+		}
+		got := MergeClimbs(climbs)
+		if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w {
+			t.Fatalf("budget %d: merged climbs\n%s\nHillClimbMulti\n%s", budget, g, w)
+		}
+		if got.Evals != evals || fmt.Sprint(got.History) != fmt.Sprint(history) {
+			t.Fatalf("budget %d: merge is not the start-order concatenation (%d evals, want %d)", budget, got.Evals, evals)
+		}
+	}
+	tie := MergeClimbs([]*Result{
+		{Best: Candidate{Weights: []float64{1, 0}, Score: 2}},
+		{Best: Candidate{Weights: []float64{0.5, 0.5}, Score: 1}},
+		{Best: Candidate{Weights: []float64{0, 1}, Score: 1}},
+	})
+	if tie.Best.Weights[0] != 0.5 {
+		t.Fatalf("merge kept %v, want the earliest of the equally good bests", tie.Best)
 	}
 }
