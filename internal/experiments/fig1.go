@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"bwap/internal/memsys"
+	"bwap/internal/mm"
 	"bwap/internal/policy"
 	"bwap/internal/search"
 	"bwap/internal/sim"
@@ -86,7 +87,9 @@ type Fig1b struct {
 // differ several-fold in cost, and a fan-out per benchmark, nested or not,
 // leaves a slot idle behind its slowest climb (DESIGN.md §4). Each
 // benchmark's climbs are then merged in start order, as
-// search.HillClimbMulti merges them.
+// search.HillClimbMulti merges them. Every evaluation binds through one
+// walk table, so a weight vector any climb has visited — the two starts
+// and their neighbours recur across benchmarks — is walked once per call.
 func RunFig1b(p *Profile) (*Fig1b, error) {
 	workers, err := p.Workers(2)
 	if err != nil {
@@ -100,6 +103,7 @@ func RunFig1b(p *Profile) (*Fig1b, error) {
 		search.Uniform(p.M.NumNodes()),
 	}
 	perStart := search.StartBudget(p.SearchBudget, len(starts))
+	walks := mm.NewWalkTable()
 	policies := []string{"first-touch", "uniform-workers", "uniform-all"}
 	climbs := make([]*search.Result, len(benches)*len(starts))
 	baselines := make([]RunResult, len(benches)*len(policies))
@@ -112,7 +116,7 @@ func RunFig1b(p *Profile) (*Fig1b, error) {
 		}
 		spec := benches[i/len(starts)]
 		objective := func(w []float64) float64 {
-			t, err := p.staticWeightedTime(spec, workers, w)
+			t, err := p.staticWeightedTime(spec, workers, w, walks)
 			if err != nil {
 				return inf
 			}
@@ -144,10 +148,10 @@ func RunFig1b(p *Profile) (*Fig1b, error) {
 }
 
 // staticWeightedTime runs one stand-alone deployment under a fixed weight
-// vector (the search's evaluation function).
-func (p *Profile) staticWeightedTime(spec workload.Spec, workers []topology.NodeID, w []float64) (float64, error) {
+// vector (the search's evaluation function), binding through walks.
+func (p *Profile) staticWeightedTime(spec workload.Spec, workers []topology.NodeID, w []float64, walks *mm.WalkTable) (float64, error) {
 	e := sim.New(p.M, p.SimCfg)
-	placer := policy.StaticWeighted{Weights: w, Label: "static-search"}
+	placer := policy.StaticWeighted{Weights: w, Label: "static-search", Walks: walks}
 	if _, err := e.AddApp(spec.Name, spec.Scaled(p.WorkScale), workers, placer); err != nil {
 		return 0, err
 	}

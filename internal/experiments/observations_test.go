@@ -95,7 +95,7 @@ func TestObservation3ProportionalSimilarity(t *testing.T) {
 func searchedWeights(t *testing.T, p *Profile, spec workload.Spec, workers []topology.NodeID) []float64 {
 	t.Helper()
 	objective := func(w []float64) float64 {
-		tt, err := p.staticWeightedTime(spec, workers, w)
+		tt, err := p.staticWeightedTime(spec, workers, w, nil)
 		if err != nil {
 			return inf
 		}

@@ -53,14 +53,24 @@ var ErrQueueFull = errors.New("fleet: admission queue full")
 
 // ErrBadSpec is returned (wrapped) by Submit for a job too large to run:
 // its scaled work volume, shared segment or per-node private segment is
-// more than maxSpecScale times the largest built-in benchmark's. One such
-// job would hold a machine for as long as its work lasts while the jobs
-// behind it queue; the HTTP layer answers 400.
+// more than maxSpecScale times the largest built-in benchmark's, its
+// expected run time more than maxRunScale times, or it is compute-bound
+// and never finishes at all. One such job would hold a machine for as
+// long as its work lasts while the jobs behind it queue; the HTTP layer
+// answers 400.
 var ErrBadSpec = errors.New("fleet: job exceeds the size bound")
 
 // maxSpecScale is how many times the largest built-in benchmark's work
 // volume and footprint a submitted job may have.
 const maxSpecScale = 10
+
+// maxRunScale is how many times the longest built-in benchmark's expected
+// run time — work over read+write demand, FT.C's 194 s — a submitted job
+// may take. It is twice maxSpecScale, so for a job that demands as much
+// bandwidth as any built-in benchmark the volume bound binds first: at
+// that bound and Streamcluster's demand, the lowest, a job runs 16.3
+// times FT.C's time.
+const maxRunScale = 2 * maxSpecScale
 
 // Placement policy names accepted by Config.Policy.
 const (
@@ -549,26 +559,32 @@ func (f *Fleet) Submit(spec workload.Spec, workers int, workScale, at float64) (
 	return job, nil
 }
 
-// checkSpecSize enforces the ErrBadSpec bound. It belongs to the fleet,
+// checkSpecSize enforces the ErrBadSpec bounds. It belongs to the fleet,
 // not to workload.Spec.Validate: simulator tests and benchmarks run
-// steady-state specs of 1e9 GB and more on purpose.
+// steady-state specs of 1e9 GB and more, and compute-bound co-runners, on
+// purpose.
 func checkSpecSize(spec workload.Spec, workScale float64) error {
-	var work, shared, private float64
+	if spec.ComputeBound {
+		return fmt.Errorf("%w: %s is compute-bound and never finishes", ErrBadSpec, spec.Name)
+	}
+	var work, run, shared, private float64
 	for _, b := range workload.Benchmarks() {
 		work = max(work, b.WorkGB)
+		run = max(run, b.WorkGB/(b.ReadGBs+b.WriteGBs))
 		shared = max(shared, b.SharedGB)
 		private = max(private, b.PrivateGBPerNode)
 	}
 	for _, c := range []struct {
-		what      string
-		gb, bound float64
+		what, unit string
+		v, limit   float64
 	}{
-		{"scaled work volume", spec.WorkGB * workScale, work},
-		{"shared segment", spec.SharedGB, shared},
-		{"private segment", spec.PrivateGBPerNode, private},
+		{"scaled work volume", "GB", spec.WorkGB * workScale, maxSpecScale * work},
+		{"expected run time", "s", spec.WorkGB * workScale / (spec.ReadGBs + spec.WriteGBs), maxRunScale * run},
+		{"shared segment", "GB", spec.SharedGB, maxSpecScale * shared},
+		{"private segment", "GB", spec.PrivateGBPerNode, maxSpecScale * private},
 	} {
-		if !(c.gb <= maxSpecScale*c.bound) { // NaN fails too
-			return fmt.Errorf("%w: %s of %g GB, limit %g GB", ErrBadSpec, c.what, c.gb, maxSpecScale*c.bound)
+		if !(c.v <= c.limit) { // NaN fails too
+			return fmt.Errorf("%w: %s of %g %s, limit %g %s", ErrBadSpec, c.what, c.v, c.unit, c.limit, c.unit)
 		}
 	}
 	return nil

@@ -532,3 +532,55 @@ func TestServerRejectsOversizedSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestServerRejectsNeverFinishingSpec pins the two jobs the size bound
+// let through that never finish: a compute-bound workload and a spec
+// whose work volume is in bounds but whose demand is so low that its
+// expected run time is not. Both are refused with 400 before they enter
+// the fleet, and the next valid job is admitted onto the one machine they
+// would have held for good.
+func TestServerRejectsNeverFinishingSpec(t *testing.T) {
+	f, err := New(Config{
+		Machines:   1,
+		NewMachine: smallMachine,
+		SimCfg:     sim.Config{Seed: 5},
+		Policy:     PolicyFirstTouch,
+		Seed:       5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(f).Handler())
+	t.Cleanup(ts.Close)
+	for _, c := range []struct{ name, body, says string }{
+		{"compute-bound", `{"workload":"Swaptions"}`, "compute-bound"},
+		{"starved demand", `{"spec":{"Name":"slow","ReadGBs":1e-9,"PrivateFrac":0.3,"WorkGB":400,` +
+			`"SharedGB":0.25,"PrivateGBPerNode":0.1},"workers":4}`, "expected run time"},
+	} {
+		resp, err := http.Post(ts.URL+"/submit", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.says) {
+			t.Fatalf("%s: status %d (%s), want 400 naming the %s", c.name, resp.StatusCode, body, c.says)
+		}
+		if n := len(f.Jobs()); n != 0 {
+			t.Fatalf("%s: rejected job entered the fleet (%d jobs)", c.name, n)
+		}
+		if err := f.Conservation(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+	}
+	out := postSubmit(t, ts.URL, `{"workload":"SC","workers":4}`)
+	if len(out.IDs) != 1 {
+		t.Fatalf("valid job after the rejections: ids %v", out.IDs)
+	}
+	if j := f.Job(out.IDs[0]); j.State != JobRunning {
+		t.Fatalf("valid job after the rejections is %v, want running", j.State)
+	}
+	if err := f.Conservation(); err != nil {
+		t.Fatal(err)
+	}
+}

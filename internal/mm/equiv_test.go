@@ -159,6 +159,12 @@ func checkEquiv(t *testing.T, step string, s *Segment, ref *refSegment) {
 	if got := s.as.TotalMigratedBytes(); got != ref.migrated {
 		t.Fatalf("%s: migrated = %d, ref %d", step, got, ref.migrated)
 	}
+	// Runs are maximal: adjacent runs never share a placement function.
+	for j := 1; j < len(s.runs); j++ {
+		if s.runs[j-1].pat.sameFunc(s.runs[j].pat) {
+			t.Fatalf("%s: runs %d and %d (pages %d and %d) share a placement function", step, j-1, j, s.runs[j-1].start, s.runs[j].start)
+		}
+	}
 	fr := s.Fractions()
 	for n := range fr {
 		want := 0.0
@@ -354,6 +360,65 @@ func TestMigrateTowardIntervalInvariants(t *testing.T) {
 				t.Fatalf("node %d undershot: %d -> %d (want %d)", n, before[n], c, want)
 			}
 		}
+	}
+}
+
+// TestMigrateTowardEditsMidRunList pins the spliced rebuild of
+// applyEdits on a long run list whose edits all fall in its middle: pages
+// [0,1000) and [2000,3000) alternate between nodes 0 and 1 in short runs,
+// the donors, nodes 2 and 3, hold only the middle, and a two-node bind
+// sits inside it for the general (cursor) path. Small budgets leave
+// untouched runs on both sides of the edits; the last migration empties
+// the middle, so its edits join the prefix's last run and the suffix's
+// first. Every step matches the per-page reference and keeps runs
+// maximal.
+func TestMigrateTowardEditsMidRunList(t *testing.T) {
+	const numNodes, pageCount = 4, 3000
+	as := NewAddressSpace(numNodes)
+	s := as.AddSegment("d", pageCount*PageSize, SharedOwner)
+	ref := newRefSegment(numNodes, pageCount)
+	for p := 0; p < pageCount; p++ {
+		n := topology.NodeID((p / 7) % 2)
+		switch {
+		case p >= 2000:
+			n = topology.NodeID((p / 3) % 2)
+		case p >= 1000:
+			n = topology.NodeID(2 + (p/5)%2)
+		}
+		s.Fault(p, n)
+		ref.fault(p, n)
+	}
+	mid := []topology.NodeID{3, 2}
+	if err := s.Mbind(1400*PageSize, 200*PageSize, mid, MoveFlag); err != nil {
+		t.Fatal(err)
+	}
+	ref.mbind(1400*PageSize, 200*PageSize, mid, MoveFlag)
+	checkEquiv(t, "built", s, ref)
+	if s.Runs() < 600 {
+		t.Fatalf("built %d runs, want a long run list", s.Runs())
+	}
+	for i, step := range []struct {
+		target []float64
+		pages  int64
+	}{
+		{[]float64{0.4, 0.4, 0.1, 0.1}, 1},
+		{[]float64{0.4, 0.4, 0.1, 0.1}, 7},
+		{[]float64{0.4, 0.4, 0.1, 0.1}, 50},
+		{[]float64{0.4, 0.4, 0.1, 0.1}, 333},
+		{[]float64{0.3, 0.3, 0.2, 0.2}, 1 << 20},
+		{[]float64{0.5, 0.5, 0, 0}, 1 << 20},
+	} {
+		moved, err := s.MigrateToward(step.target, step.pages*PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ref.migrateToward(step.target, step.pages*PageSize); moved != want {
+			t.Fatalf("step %d: moved %d, ref %d", i, moved, want)
+		}
+		checkEquiv(t, fmt.Sprintf("step %d", i), s, ref)
+	}
+	if c := s.Counts(); c[2] != 0 || c[3] != 0 {
+		t.Fatalf("middle not emptied: counts %v", c)
 	}
 }
 

@@ -22,7 +22,9 @@
 // address space takes one walk per weight vector, lazily and checkpointed
 // every walkStride pages, and shares it between the patterns of all its
 // segments bound to those weights, so counting or querying any page range
-// costs at most a stride of steps past the walk already taken.
+// costs at most a stride of steps past the walk already taken. A WalkTable
+// extends that sharing across address spaces: binds through it copy the
+// checkpoints of a weight vector some earlier bind has walked.
 //
 // An AddressSpace is not safe for concurrent use; the simulation engine
 // drives each address space from a single goroutine.
@@ -601,6 +603,7 @@ type AddressSpace struct {
 	setSeq map[uint64][]topology.NodeID
 	// lastWalk is the walk of the latest weighted mbind, reused by the next
 	// one with equal weights (an app's segments under one weight vector).
+	// A bind through a WalkTable copies its missing checkpoints into it.
 	lastWalk *walk
 }
 
@@ -976,6 +979,13 @@ func (s *Segment) Mbind(offset, length uint64, nodes []topology.NodeID, flags Fl
 // of the segment approximates the weight distribution. Weights must have
 // one entry per node and a positive sum; they are normalized internally.
 func (s *Segment) MbindWeighted(weights []float64, flags Flags) error {
+	return s.MbindWeightedShared(weights, flags, nil)
+}
+
+// MbindWeightedShared is MbindWeighted with the walk's checkpoints copied
+// from walks (see WalkTable); a nil table walks privately. Either way the
+// pages land on the same nodes.
+func (s *Segment) MbindWeightedShared(weights []float64, flags Flags, walks *WalkTable) error {
 	if len(weights) != s.as.numNodes {
 		return fmt.Errorf("mm: %s: %d weights for %d nodes", s.name, len(weights), s.as.numNodes)
 	}
@@ -999,10 +1009,15 @@ func (s *Segment) MbindWeighted(weights []float64, flags Flags) error {
 	for i, w := range weights {
 		norm[i] = w / sum
 	}
-	if wk := s.as.lastWalk; wk == nil || !slices.Equal(wk.weights, norm) {
-		s.as.lastWalk = newWalk(norm, s.pageCount)
+	wk := s.as.lastWalk
+	if wk == nil || !slices.Equal(wk.weights, norm) {
+		wk = newWalk(norm, s.pageCount)
+		s.as.lastWalk = wk
 	}
-	s.replaceRange(0, s.pageCount, pattern{kind: patWeighted, walk: s.as.lastWalk}, flags&MoveFlag != 0)
+	if walks != nil {
+		walks.fill(wk, s.pageCount)
+	}
+	s.replaceRange(0, s.pageCount, pattern{kind: patWeighted, walk: wk}, flags&MoveFlag != 0)
 	return nil
 }
 
@@ -1131,13 +1146,20 @@ scan:
 	return moved * PageSize, nil
 }
 
-// applyEdits rebuilds the runs slice with the (sorted, disjoint) edit
-// blocks re-homed to their destination nodes. Counts have already been
-// adjusted by the caller.
+// applyEdits re-homes the (sorted, disjoint) edit blocks to their
+// destination nodes. Counts have already been adjusted by the caller.
+//
+// Only the span of runs the edits touch is rebuilt, into scratch, and
+// spliced back between the untouched prefix and suffix. The span starts
+// one run early and absorbs the suffix's first run when it continues the
+// span's last, so both joins merge exactly as appendRun over the whole
+// slice would and the runs stay maximal.
 func (s *Segment) applyEdits(edits []migrateEdit) {
-	out := s.runsAlt[:0]
+	first := max(s.runIndex(edits[0].lo)-1, 0)
+	last := s.runIndex(edits[len(edits)-1].hi - 1)
+	span := s.runsAlt[:0]
 	e := 0
-	for j := range s.runs {
+	for j := first; j <= last; j++ {
 		r := s.runs[j]
 		lo, hi := r.start, s.runEnd(j)
 		pos := lo
@@ -1145,9 +1167,9 @@ func (s *Segment) applyEdits(edits []migrateEdit) {
 			// Clip the edit to this run; a coalesced edit may span runs.
 			el, eh := max(edits[e].lo, lo), min(edits[e].hi, hi)
 			if pos < el {
-				out = appendRun(out, pos, r.pat)
+				span = appendRun(span, pos, r.pat)
 			}
-			out = appendRun(out, el, pattern{kind: patSeq, origin: el, seq: s.as.single(edits[e].to)})
+			span = appendRun(span, el, pattern{kind: patSeq, origin: el, seq: s.as.single(edits[e].to)})
 			pos = eh
 			if edits[e].hi > hi {
 				break // remainder of the edit belongs to the next run
@@ -1155,8 +1177,13 @@ func (s *Segment) applyEdits(edits []migrateEdit) {
 			e++
 		}
 		if pos < hi {
-			out = appendRun(out, pos, r.pat)
+			span = appendRun(span, pos, r.pat)
 		}
 	}
-	s.runs, s.runsAlt = out, s.runs
+	end := last + 1
+	if end < len(s.runs) && span[len(span)-1].pat.sameFunc(s.runs[end].pat) {
+		end++
+	}
+	s.runs = slices.Replace(s.runs, first, end, span...)
+	s.runsAlt = span[:0]
 }

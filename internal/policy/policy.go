@@ -83,6 +83,9 @@ type StaticWeighted struct {
 	Weights []float64
 	// Label customizes Name() for experiment output.
 	Label string
+	// Walks, when set, shares the weights' walk checkpoints with every
+	// other placement through the same table (see mm.WalkTable).
+	Walks *mm.WalkTable
 }
 
 // Name implements sim.Placer.
@@ -99,7 +102,7 @@ func (p StaticWeighted) Place(e *sim.Engine, a *sim.App) error {
 		return fmt.Errorf("policy: %d weights for %d nodes", len(p.Weights), e.M.NumNodes())
 	}
 	for _, seg := range a.Segments() {
-		if err := seg.MbindWeighted(p.Weights, mm.MoveFlag); err != nil {
+		if err := seg.MbindWeightedShared(p.Weights, mm.MoveFlag, p.Walks); err != nil {
 			return err
 		}
 	}
