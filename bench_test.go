@@ -286,13 +286,13 @@ func BenchmarkFleetThroughput(b *testing.B) {
 }
 
 // BenchmarkFleetThroughputSharded measures the scheduler's multi-core
-// scaling axis: the identical warm-cache job stream over 8 machines at 1,
-// 2 and 4 shards with the worker pool sized to match. Least-loaded
-// routing keeps every placement — and the event log — bit-identical
-// across shard counts, so the sub-benchmarks do the same simulated work;
-// jobs/s differences are pure tick-advance parallelism. (On a single-core
-// runner the shard counts tie modulo barrier overhead; the /4-beats-/1
-// gate assumes ≥4 cores and is enforced by the CI multicore job via
+// scaling axis: the identical warm-cache job stream over 8 machines at
+// tick-pool widths 1, 2 and 4 (Config.Shards; the name predates the
+// pool). Every placement — and the event log — is bit-identical across
+// widths, so the sub-benchmarks do the same simulated work; jobs/s
+// differences are pure tick-advance parallelism. (On a single-core runner
+// the widths tie modulo barrier overhead; the /4-beats-/1 gate assumes ≥4
+// cores and is enforced by the CI multicore job via
 // TestShardScalingMultiCoreGate.)
 func BenchmarkFleetThroughputSharded(b *testing.B) {
 	cache := bwap.NewTuningCache(bwap.Config{Seed: 1}, 0, 1)
@@ -304,7 +304,7 @@ func BenchmarkFleetThroughputSharded(b *testing.B) {
 	}}
 	// Warm the shared cache before any timed iteration: otherwise the
 	// first sub-benchmark pays every profiling probe inside its timed loop
-	// and the cross-shard speedup ratios are skewed.
+	// and the cross-width speedup ratios are skewed.
 	warm, err := bwap.NewFleet(bwap.FleetConfig{
 		Machines: 8, SimCfg: bwap.Config{Seed: 1}, Seed: 1, Cache: cache,
 	})
@@ -317,14 +317,13 @@ func BenchmarkFleetThroughputSharded(b *testing.B) {
 	if _, err := warm.Run(); err != nil {
 		b.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprint(shards), func(b *testing.B) {
+	for _, width := range []int{1, 2, 4} {
+		b.Run(fmt.Sprint(width), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				f, err := bwap.NewFleet(bwap.FleetConfig{
 					Machines: 8,
-					Shards:   shards,
-					Workers:  shards,
+					Shards:   width,
 					SimCfg:   bwap.Config{Seed: 1},
 					Seed:     1,
 					Cache:    cache,
@@ -385,7 +384,6 @@ func BenchmarkColdCacheProbeBurst(b *testing.B) {
 				f, err := bwap.NewFleet(bwap.FleetConfig{
 					Machines: 8,
 					Shards:   2,
-					Workers:  2,
 					SimCfg:   bwap.Config{Seed: 1},
 					Seed:     1,
 					Cache:    bwap.NewTuningCache(bwap.Config{Seed: 1}, 0, 1, bwap.ProbeWorkers(pw)),

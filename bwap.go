@@ -263,24 +263,12 @@ type FleetJob = fleet.Job
 // tuning-cache economics.
 type FleetStats = fleet.Stats
 
-// FleetShardStat is one shard's slice of the fleet counters (the daemon's
-// /shards endpoint).
-type FleetShardStat = fleet.ShardStat
-
 // FleetAdmissionPolicy picks a job's worker-node set on the admitting
 // machine; select one by name via FleetConfig.Admission.
 type FleetAdmissionPolicy = fleet.AdmissionPolicy
 
-// FleetRouting assigns admission attempts to shards; select one by name
-// via FleetConfig.Routing.
-type FleetRouting = fleet.Routing
-
-// Routing and admission policy names for FleetConfig.
+// Admission policy names for FleetConfig.
 const (
-	FleetRouteLeastLoaded  = fleet.RouteLeastLoaded
-	FleetRouteHashAffinity = fleet.RouteHashAffinity
-	FleetRouteRoundRobin   = fleet.RouteRoundRobin
-
 	FleetAdmitMostFree      = fleet.AdmitMostFree
 	FleetAdmitBestBandwidth = fleet.AdmitBestBandwidth
 	FleetAdmitAntiAffinity  = fleet.AdmitAntiAffinity

@@ -1,15 +1,16 @@
 // bwapd serves a simulated fleet of NUMA machines over HTTP: jobs are
-// submitted as workload specs, routed to a shard (-routing), admitted onto
-// a machine with nodes chosen by the admission policy (-admission), placed
-// by the selected placement policy (BWAP placements come from the
+// submitted as workload specs, admitted onto the up machine with the most
+// free nodes, with nodes chosen by the admission policy (-admission),
+// placed by the selected placement policy (BWAP placements come from the
 // single-flight tuning cache, so repeat jobs skip re-profiling), and
 // advanced through simulated time by a background clock decoupled from wall
-// time. With -shards > 1 the machines advance concurrently, free-running
-// through conservative-lookahead windows with one barrier per window — the
-// daemon's multi-core scaling axis; the event log stays bit-identical for a
-// given seed regardless of the shard and worker counts. See the fleet
-// section and §12 of DESIGN.md for the event model, the replayable JSONL
-// log format and the advance engine.
+// time. -shards sets the tick pool's width: the machines advance on
+// min(shards, GOMAXPROCS) goroutines, free-running through
+// conservative-lookahead windows with one barrier per window — the
+// daemon's multi-core scaling axis; the event log stays bit-identical for
+// a given seed at any width. See the fleet section and §12 of DESIGN.md
+// for the event model, the replayable JSONL log format and the advance
+// engine.
 //
 // The tuning cache is durable: -cache-file loads a snapshot on boot (warm
 // start — repeated workload signatures skip re-profiling across restarts)
@@ -23,8 +24,8 @@
 //
 //	bwapd                                   # 2× Machine B fleet on :8080
 //	bwapd -machines 8 -machine A -policy bwap -sim-rate 500
-//	bwapd -machines 8 -shards 4 -shard-workers 4   # multi-core tick advance
-//	bwapd -routing hash-affinity -admission best-bandwidth
+//	bwapd -machines 8 -shards 4             # multi-core tick advance
+//	bwapd -admission best-bandwidth
 //	bwapd -log fleet-events.jsonl           # mirror the event log to disk
 //	bwapd -cache-file tuning.json           # warm-startable tuning cache
 //	bwapd -replay fleet-events.jsonl -cache-file tuning.json
@@ -55,7 +56,6 @@
 //	GET  /status?id=1
 //	GET  /jobs
 //	GET  /fleet
-//	GET  /shards
 //	GET  /machines
 //	POST /drain?machine=0
 //	POST /recover?machine=0
@@ -97,9 +97,7 @@ const (
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	machines := flag.Int("machines", 2, "fleet size")
-	shards := flag.Int("shards", 1, "shard count (routing and accounting slices of the fleet; caps -shard-workers)")
-	shardWorkers := flag.Int("shard-workers", 0, "goroutines advancing machines, capped at -shards; a window runs on min(shard-workers, GOMAXPROCS) (0 = min(shards, GOMAXPROCS))")
-	routing := flag.String("routing", fleet.RouteLeastLoaded, "job routing tier: least-loaded, hash-affinity, round-robin")
+	shards := flag.Int("shards", 1, "tick pool width: a window advances the machines on min(shards, GOMAXPROCS) goroutines (at most -machines)")
 	admission := flag.String("admission", fleet.AdmitMostFree, "node-selection policy: most-free, best-bandwidth, anti-affinity")
 	machine := flag.String("machine", "B", "machine model: A (8-node Opteron), B (4-node Xeon)")
 	policy := flag.String("policy", fleet.PolicyBWAP, "placement policy: bwap, first-touch, uniform-all, uniform-workers")
@@ -207,8 +205,6 @@ func main() {
 	cfg := fleet.Config{
 		Machines:     *machines,
 		Shards:       *shards,
-		Workers:      *shardWorkers,
-		Routing:      *routing,
 		Admission:    *admission,
 		NewMachine:   newMachine,
 		SimCfg:       sim.Config{Seed: *seed},
@@ -325,8 +321,8 @@ func main() {
 		httpSrv.Shutdown(drainCtx) //nolint:errcheck // exiting anyway
 	}()
 
-	fmt.Printf("bwapd: %d× machine %s fleet (%d shards), policy %s, routing %s, admission %s, listening on %s\n",
-		*machines, *machine, *shards, *policy, *routing, *admission, *addr)
+	fmt.Printf("bwapd: %d× machine %s fleet (tick pool width %d), policy %s, admission %s, listening on %s\n",
+		*machines, *machine, *shards, *policy, *admission, *addr)
 	err = httpSrv.ListenAndServe()
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		// Tear the driver down before fatal flushes the span log: the clock

@@ -17,7 +17,7 @@ import (
 // while the fleet is losing and regaining capacity. Each scenario runs the
 // identical job stream and fault schedule under both policies; the bwap
 // run's event log is then replayed through fleet.ReadTrace with the same
-// FaultPlan at several shard counts and byte-compared against the
+// FaultPlan at several tick-pool widths and byte-compared against the
 // original, demonstrating that a recorded failure scenario is a fully
 // replayable experiment.
 
@@ -31,9 +31,9 @@ type ChaosResult struct {
 // ChaosReplay is one scenario's replay-equivalence verdict.
 type ChaosReplay struct {
 	Scenario string
-	// Shards lists the shard counts replayed; Identical reports whether
-	// every replay reproduced the recorded log byte for byte.
-	Shards    []int
+	// Widths lists the tick-pool widths replayed; Identical reports
+	// whether every replay reproduced the recorded log byte for byte.
+	Widths    []int
 	Identical bool
 }
 
@@ -86,10 +86,10 @@ func chaosScenarios(machines int, quick bool) []chaosScenario {
 }
 
 // chaosConfig is the shared fleet configuration of every cell.
-func chaosConfig(machines, shards int, policy string, plan *fleet.FaultPlan) fleet.Config {
+func chaosConfig(machines, width int, policy string, plan *fleet.FaultPlan) fleet.Config {
 	return fleet.Config{
 		Machines:   machines,
-		Shards:     shards,
+		Shards:     width,
 		NewMachine: func(int) *topology.Machine { return topology.MachineB() },
 		SimCfg:     sim.Config{Seed: 1},
 		Policy:     policy,
@@ -99,18 +99,18 @@ func chaosConfig(machines, shards int, policy string, plan *fleet.FaultPlan) fle
 }
 
 // RunChaos executes the fault-injection comparison and the replay
-// verification. quick shrinks the stream, fleet and shard sweep for tests
+// verification. quick shrinks the stream, fleet and width sweep for tests
 // and CI.
 func RunChaos(quick bool) (*ChaosTable, error) {
 	machines := 4
 	jobsPerClass := 6
 	workScale := 0.05
-	shardCounts := []int{1, 2, 4}
+	widths := []int{1, 2, 4}
 	if quick {
 		machines = 2
 		jobsPerClass = 2
 		workScale = 0.03
-		shardCounts = []int{1, 2}
+		widths = []int{1, 2}
 	}
 	streams := fleetStream(jobsPerClass, workScale)
 	scenarios := chaosScenarios(machines, quick)
@@ -149,15 +149,15 @@ func RunChaos(quick bool) (*ChaosTable, error) {
 
 	// Replay verification: the recorded bwap log, re-ingested as a trace and
 	// rerun with the same FaultPlan, must reproduce itself bit for bit at
-	// every shard count.
+	// every pool width.
 	for si, sc := range scenarios {
-		rep := ChaosReplay{Scenario: sc.name, Shards: shardCounts, Identical: true}
+		rep := ChaosReplay{Scenario: sc.name, Widths: widths, Identical: true}
 		trace, err := fleet.ReadTrace(logs[si], nil)
 		if err != nil {
 			return nil, fmt.Errorf("chaos %s: %w", sc.name, err)
 		}
-		for _, shards := range shardCounts {
-			f, err := fleet.New(chaosConfig(machines, shards, fleet.PolicyBWAP, sc.plan))
+		for _, width := range widths {
+			f, err := fleet.New(chaosConfig(machines, width, fleet.PolicyBWAP, sc.plan))
 			if err != nil {
 				return nil, err
 			}
@@ -165,7 +165,7 @@ func RunChaos(quick bool) (*ChaosTable, error) {
 				return nil, err
 			}
 			if _, err := f.Run(); err != nil {
-				return nil, fmt.Errorf("chaos %s replay (%d shards): %w", sc.name, shards, err)
+				return nil, fmt.Errorf("chaos %s replay (pool width %d): %w", sc.name, width, err)
 			}
 			if !bytes.Equal(f.LogBytes(), logs[si]) {
 				rep.Identical = false
@@ -195,12 +195,12 @@ func (t *ChaosTable) Render() string {
 		if !rep.Identical {
 			verdict = "MISMATCH"
 		}
-		shards := make([]string, len(rep.Shards))
-		for i, s := range rep.Shards {
-			shards[i] = fmt.Sprintf("%d", s)
+		widths := make([]string, len(rep.Widths))
+		for i, w := range rep.Widths {
+			widths[i] = fmt.Sprintf("%d", w)
 		}
-		fmt.Fprintf(&b, "  %-18s log replay at %s shards: %s\n",
-			rep.Scenario, strings.Join(shards, "/"), verdict)
+		fmt.Fprintf(&b, "  %-18s log replay at pool widths %s: %s\n",
+			rep.Scenario, strings.Join(widths, "/"), verdict)
 	}
 	return b.String()
 }

@@ -10,7 +10,7 @@ import (
 // TestRunChaos runs the quick chaos scenario and checks what it exists to
 // demonstrate: fault injection actually touches jobs (the comparison is
 // not vacuous), every job still reaches a terminal state under churn, and
-// each recorded bwap log replays bit-identically at every shard count.
+// each recorded bwap log replays bit-identically at every pool width.
 func TestRunChaos(t *testing.T) {
 	table, err := RunChaos(true)
 	if err != nil {
@@ -45,7 +45,7 @@ func TestRunChaos(t *testing.T) {
 	}
 	for _, rep := range table.Replays {
 		if !rep.Identical {
-			t.Fatalf("scenario %s: chaos replay diverged across shard counts", rep.Scenario)
+			t.Fatalf("scenario %s: chaos replay diverged across pool widths", rep.Scenario)
 		}
 	}
 	out := table.Render()

@@ -24,12 +24,10 @@ const (
 )
 
 // AdmissionPolicy is the node-selection seam of the admission decision:
-// given the machine the router/scheduler settled on and its free nodes, it
-// picks the job's worker set. Machine selection itself (most free nodes,
-// ties to the lowest machine id) stays in the scheduler so that the
-// least-loaded router's shard choice composes with it partition-
-// invariantly — that alignment is what keeps the replay log independent of
-// the shard count (see DESIGN.md).
+// given the machine the scheduler settled on and its free nodes, it picks
+// the job's worker set. Machine selection itself (bestFit: most free
+// nodes, ties to the lowest machine id) stays in the scheduler, so every
+// admission path asks one rule where a job fits (see DESIGN.md).
 //
 // PickNodes is called with free in ascending node order and
 // len(free) >= job.Workers; it must return exactly job.Workers distinct

@@ -9,8 +9,8 @@ import (
 
 // This file is the hand-rolled JSONL encoder for Record — the event log's
 // hot path. eventLog.append used to reflect over the struct through
-// json.Marshal, which dominated the sharded-fleet allocation profile
-// (~9,900 allocs/op in FleetThroughputSharded); appendRecord writes the
+// json.Marshal, which dominated the fleet's allocation profile (~9,900
+// allocs/op in FleetThroughputSharded); appendRecord writes the
 // same bytes into a caller-owned scratch buffer with zero allocations.
 //
 // The contract is byte-equality with encoding/json: field order follows

@@ -10,34 +10,34 @@ import (
 )
 
 // TestEngineReplayShardWorkerEquivalence is the determinism contract
-// under the bwap policy with cold private caches: the merged (t, kind,
-// seq) log is bit-identical for every shard/worker partition, even though
-// shards free-run through multi-tick windows between barriers.
+// under the bwap policy with cold private caches: the (t, kind, seq) log
+// is bit-identical at every tick-pool width, even though machines
+// free-run through multi-tick windows between barriers.
 func TestEngineReplayShardWorkerEquivalence(t *testing.T) {
 	for _, admission := range []string{AdmitMostFree, AdmitBestBandwidth, AdmitAntiAffinity} {
 		var base []byte
-		for _, c := range replayCombos {
-			f, stats := runFleet(t, shardConfig(PolicyBWAP, admission, c.shards, c.workers, 7), shardStreams())
+		for _, width := range poolWidths {
+			f, stats := runFleet(t, poolConfig(PolicyBWAP, admission, width, 7), denseStreams())
 			if stats.Completed != stats.Jobs {
-				t.Fatalf("%s %d/%d: %d of %d jobs completed", admission, c.shards, c.workers, stats.Completed, stats.Jobs)
+				t.Fatalf("%s width=%d: %d of %d jobs completed", admission, width, stats.Completed, stats.Jobs)
 			}
 			if base == nil {
 				base = f.LogBytes()
 				continue
 			}
 			if !bytes.Equal(base, f.LogBytes()) {
-				t.Fatalf("%s: log differs at shards=%d workers=%d", admission, c.shards, c.workers)
+				t.Fatalf("%s: log differs at width=%d", admission, width)
 			}
 		}
 	}
 }
 
 // TestEngineReplaysMoreTicks pins the point of the latency-feedback snap
-// and the windowed advance: on the dense shard stream the engines replay
+// and the windowed advance: on the dense stream the engines replay
 // most of their ticks instead of chasing sub-ULP feedback drift after
 // every perturbation (latEpoch churn blocks the replay path).
 func TestEngineReplaysMoreTicks(t *testing.T) {
-	_, stats := runFleet(t, shardConfig(PolicyBWAP, AdmitMostFree, 2, 2, 7), shardStreams())
+	_, stats := runFleet(t, poolConfig(PolicyBWAP, AdmitMostFree, 2, 7), denseStreams())
 	total := stats.TickSolves + stats.TickReplays
 	if total == 0 {
 		t.Fatal("no ticks ran")
@@ -81,7 +81,7 @@ func TestEnginePhaseAwareHorizon(t *testing.T) {
 			Arrival:  workload.ArrivalSpec{Process: workload.Periodic, Rate: 0.2, Count: 3},
 			Workers:  2, WorkScale: 0.1,
 		}}
-		_, stats := runFleet(t, shardConfig(PolicyBWAP, AdmitMostFree, 2, 2, 7), streams)
+		_, stats := runFleet(t, poolConfig(PolicyBWAP, AdmitMostFree, 2, 7), streams)
 		if stats.Completed != stats.Jobs {
 			t.Fatalf("phases %v: %d of %d jobs completed", phases, stats.Completed, stats.Jobs)
 		}
@@ -107,17 +107,17 @@ func TestEnginePhaseAwareHorizon(t *testing.T) {
 // config and stream is frozen across changes, so any drift in the
 // simulated semantics — however the advance machinery evolves — fails
 // loudly rather than silently moving the reference. The same bytes come
-// out at 1, 2 and 4 shards, each with fast-forward on and off (the naive
+// out at every pool width, each with fast-forward on and off (the naive
 // solve-every-tick loop is the reference the replay path must match).
 func TestEngineLogFrozen(t *testing.T) {
 	const want = "5b3684cc48ddc2c5f0d5c5b3e627310c0ba9b38068b09f56faa4dadfe2c75c35"
-	for _, n := range []int{1, 2, 4} {
+	for _, width := range poolWidths {
 		for _, disableFF := range []bool{false, true} {
-			f, _ := runFleet(t, chaosShardConfig(n, n, disableFF), shardStreams())
+			f, _ := runFleet(t, chaosPoolConfig(width, disableFF), denseStreams())
 			sum := sha256.Sum256(f.LogBytes())
 			if got := hex.EncodeToString(sum[:]); got != want {
-				t.Fatalf("shards=workers=%d disableFF=%v: reference log hash drifted:\n got %s\nwant %s",
-					n, disableFF, got, want)
+				t.Fatalf("width=%d disableFF=%v: reference log hash drifted:\n got %s\nwant %s",
+					width, disableFF, got, want)
 			}
 		}
 	}

@@ -7,46 +7,43 @@ import (
 	"bwap/internal/sim"
 )
 
-// The fleet fast-forward tests extend the PR 3 replay-equivalence table
-// with the quiescent-interval axis: for every routing policy and shard
-// count, the merged JSONL event log must be byte-identical with
-// fast-forward on and off. The on-path batches barrier-free replay windows
-// and memoizes per-machine solves; the off-path is the naive
-// solve-every-tick reference kept alive by sim.Config.DisableFastForward.
+// The fleet fast-forward tests extend the replay-equivalence table with
+// the quiescent-interval axis: at every tick-pool width, the JSONL event
+// log must be byte-identical with fast-forward on and off. The on-path
+// batches barrier-free replay windows and memoizes per-machine solves; the
+// off-path is the naive solve-every-tick reference kept alive by
+// sim.Config.DisableFastForward.
 
-func ffShardConfig(routing string, shards int, disable bool) Config {
-	cfg := shardConfig(PolicyFirstTouch, AdmitMostFree, shards, shards, 29)
-	cfg.Routing = routing
+func ffPoolConfig(width int, disable bool) Config {
+	cfg := poolConfig(PolicyFirstTouch, AdmitMostFree, width, 29)
 	cfg.SimCfg.DisableFastForward = disable
 	return cfg
 }
 
-// TestFastForwardFleetEquivalence is the tentpole property test: all three
-// routing policies at 1, 2 and 4 shards, fast-forward on vs. off,
-// byte-identical logs and identical headline stats.
+// TestFastForwardFleetEquivalence is the tentpole property test: the
+// least-loaded machine-selection rule at every pool width, fast-forward on
+// vs. off, byte-identical logs and identical headline stats.
 func TestFastForwardFleetEquivalence(t *testing.T) {
-	for _, routing := range []string{RouteLeastLoaded, RouteHashAffinity, RouteRoundRobin} {
-		t.Run(routing, func(t *testing.T) {
-			for _, shards := range []int{1, 2, 4} {
-				fOff, sOff := runFleet(t, ffShardConfig(routing, shards, true), shardStreams())
-				fOn, sOn := runFleet(t, ffShardConfig(routing, shards, false), shardStreams())
-				if !bytes.Equal(fOff.LogBytes(), fOn.LogBytes()) {
-					t.Fatalf("shards=%d: fast-forward changed the log\n--- off ---\n%s\n--- on ---\n%s",
-						shards, fOff.LogBytes(), fOn.LogBytes())
-				}
-				if sOff.Completed != sOn.Completed || sOff.MeanTurnaround != sOn.MeanTurnaround ||
-					sOff.Utilization != sOn.Utilization || sOff.LogRecords != sOn.LogRecords {
-					t.Fatalf("shards=%d: fast-forward changed stats: %+v vs %+v", shards, sOff, sOn)
-				}
-				if sOff.TickReplays != 0 {
-					t.Fatalf("shards=%d: disabled fleet replayed %d ticks", shards, sOff.TickReplays)
-				}
-				if sOn.TickReplays == 0 {
-					t.Fatalf("shards=%d: fast-forward never engaged (equivalence would be vacuous)", shards)
-				}
+	t.Run("least-loaded", func(t *testing.T) {
+		for _, width := range poolWidths {
+			fOff, sOff := runFleet(t, ffPoolConfig(width, true), denseStreams())
+			fOn, sOn := runFleet(t, ffPoolConfig(width, false), denseStreams())
+			if !bytes.Equal(fOff.LogBytes(), fOn.LogBytes()) {
+				t.Fatalf("width=%d: fast-forward changed the log\n--- off ---\n%s\n--- on ---\n%s",
+					width, fOff.LogBytes(), fOn.LogBytes())
 			}
-		})
-	}
+			if sOff.Completed != sOn.Completed || sOff.MeanTurnaround != sOn.MeanTurnaround ||
+				sOff.Utilization != sOn.Utilization || sOff.LogRecords != sOn.LogRecords {
+				t.Fatalf("width=%d: fast-forward changed stats: %+v vs %+v", width, sOff, sOn)
+			}
+			if sOff.TickReplays != 0 {
+				t.Fatalf("width=%d: disabled fleet replayed %d ticks", width, sOff.TickReplays)
+			}
+			if sOn.TickReplays == 0 {
+				t.Fatalf("width=%d: fast-forward never engaged (equivalence would be vacuous)", width)
+			}
+		}
+	})
 }
 
 // TestFastForwardFleetEquivalenceBWAP covers the DWP policy path — cache
@@ -58,15 +55,15 @@ func TestFastForwardFleetEquivalenceBWAP(t *testing.T) {
 	var base []byte
 	for _, disable := range []bool{true, false} {
 		cache := NewTuningCache(sim.Config{Seed: 29}, 0, 29)
-		warm := shardConfig(PolicyBWAP, AdmitMostFree, 1, 1, 29)
+		warm := poolConfig(PolicyBWAP, AdmitMostFree, 1, 29)
 		warm.Cache = cache
 		warm.SimCfg.DisableFastForward = disable
-		runFleet(t, warm, shardStreams())
+		runFleet(t, warm, denseStreams())
 
-		cfg := shardConfig(PolicyBWAP, AdmitMostFree, 4, 4, 29)
+		cfg := poolConfig(PolicyBWAP, AdmitMostFree, 4, 29)
 		cfg.Cache = cache
 		cfg.SimCfg.DisableFastForward = disable
-		f, stats := runFleet(t, cfg, shardStreams())
+		f, stats := runFleet(t, cfg, denseStreams())
 		if stats.CacheMisses != 0 {
 			t.Fatalf("disable=%v: %d probes against a warm cache", disable, stats.CacheMisses)
 		}

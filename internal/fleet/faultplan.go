@@ -43,14 +43,14 @@ const (
 	FaultCrash = "crash"
 	// FaultDrain stops admission to the machine and gracefully evacuates
 	// its running jobs: each job's progress is snapshotted and the
-	// remainder resubmitted through the routing/admission tiers.
+	// remainder resubmitted through admission.
 	FaultDrain = "drain"
 	// FaultRecover brings a crashed or drained machine back up and
 	// backfills the queue against the restored capacity.
 	FaultRecover = "recover"
 	// FaultMachineAdd grows the fleet by one machine per occurrence
-	// (topology from Config.NewMachine at the new index, shard = index mod
-	// shards, engine clock caught up to the lockstep tick count).
+	// (topology from Config.NewMachine at the new index, engine clock
+	// caught up to the lockstep tick count).
 	FaultMachineAdd = "machine-add"
 )
 

@@ -3,22 +3,20 @@
 // workload specs with arrival processes and durations — across a fleet of
 // simulated NUMA machines.
 //
-// The fleet's machines are partitioned into shards. Every machine is one
-// sim.Engine advanced in lockstep with the others (identical tick length),
-// so co-located jobs contend exactly as they do in the single-run
-// experiments; a bounded worker pool advances the machines concurrently,
-// which is the daemon's multi-core scaling axis. Jobs never cross shards
-// once placed, and the event log is bit-identical for a given seed
-// regardless of the shard and worker counts.
+// Every machine is one sim.Engine advanced in lockstep with the others
+// (identical tick length), so co-located jobs contend exactly as they do
+// in the single-run experiments; a tick pool of min(Config.Shards,
+// GOMAXPROCS) goroutines advances the machines concurrently, which is the
+// daemon's multi-core scaling axis. The event log is bit-identical for a
+// given seed regardless of the pool's width.
 //
 // The scheduler pops events off one fleet event heap in (timestamp, event
 // kind, push sequence) order; between events it advances every machine in
 // windows no longer than the next scheduled event and every machine's
 // completion horizon allow, with one barrier per window, stopping after
 // the window in which any job completes so the completion becomes an event
-// of its own. A routing tier assigns each admission attempt to a shard
-// (Config.Routing: least-loaded, hash-affinity, round-robin) and an
-// AdmissionPolicy picks the node set on the chosen machine
+// of its own. Every admission attempt takes the most-free up machine that
+// fits the job (bestFit), and an AdmissionPolicy picks the node set on it
 // (Config.Admission: most-free, best-bandwidth, anti-affinity); jobs that
 // do not fit wait in an arrival-ordered queue and are backfilled as
 // capacity frees up. Under the bwap policy, placement consults the
@@ -34,7 +32,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"runtime"
@@ -84,17 +81,11 @@ const (
 type Config struct {
 	// Machines is the fleet size (default 2).
 	Machines int
-	// Shards partitions the machines into independently advanced shards
-	// (default 1; machine i belongs to shard i mod Shards). Must not
-	// exceed Machines.
+	// Shards is the tick pool's width (default 1; must not exceed
+	// Machines): each window runs on min(Shards, GOMAXPROCS) goroutines,
+	// the scheduler's own included. The event log is bit-identical for
+	// any width.
 	Shards int
-	// Workers bounds the goroutines advancing machines between events
-	// (default min(Shards, GOMAXPROCS); clamped to Shards). Each window
-	// runs on min(Workers, GOMAXPROCS) goroutines, the scheduler's own
-	// included. The event log is bit-identical for any worker count.
-	Workers int
-	// Routing selects the job→shard tier (default RouteLeastLoaded).
-	Routing string
 	// Admission selects the node-selection policy on the admitting
 	// machine (default AdmitMostFree).
 	Admission string
@@ -168,9 +159,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.Routing == "" {
-		c.Routing = RouteLeastLoaded
 	}
 	if c.Admission == "" {
 		c.Admission = AdmitMostFree
@@ -274,9 +262,8 @@ type Job struct {
 	// job fails terminally.
 	Attempts int
 
-	app     *sim.App
-	seen    bool   // completion already turned into an event
-	sigHash uint64 // FNV-64a of Spec.Signature(), computed once at Submit
+	app  *sim.App
+	seen bool // completion already turned into an event
 	// remFrac is the fraction of the job's scaled work volume still to
 	// run: 1 until a drain snapshots progress, then scaled down so the
 	// re-placed remainder is only what is left. Placement multiplies it
@@ -285,13 +272,12 @@ type Job struct {
 	remFrac float64
 }
 
-// machine is one fleet member: a topology, its engine, allocation state,
-// its home shard and its lifecycle state. A machine that is not up keeps
-// ticking its (empty) engine so the fleet-wide lockstep clock survives the
-// outage; it is merely invisible to bestFit until it recovers.
+// machine is one fleet member: a topology, its engine, allocation state
+// and its lifecycle state. A machine that is not up keeps ticking its
+// (empty) engine so the fleet-wide lockstep clock survives the outage; it
+// is merely invisible to bestFit until it recovers.
 type machine struct {
 	id            int
-	shard         int
 	topo          *topology.Machine
 	eng           *sim.Engine
 	free          []bool
@@ -338,18 +324,16 @@ func (m *machine) release(nodes []topology.NodeID) {
 	}
 }
 
-// Fleet schedules a job stream over a sharded set of simulated machines.
-// It is not safe for concurrent use; the HTTP server serializes access.
-// (The worker pool inside Advance/Run is an implementation detail — it
+// Fleet schedules a job stream over a set of simulated machines. It is
+// not safe for concurrent use; the HTTP server serializes access. (The
+// tick pool inside Advance/Run is an implementation detail — it
 // synchronizes on one barrier per advance window and never outlives the
 // call.)
 type Fleet struct {
 	cfg       Config
 	dt        float64
-	machines  []*machine // by global id
-	shards    []*shard
-	workers   int
-	router    Routing
+	machines  []*machine // by id
+	workers   int        // tick-pool goroutines: min(Shards, GOMAXPROCS)
 	admission AdmissionPolicy
 	cache     *TuningCache
 
@@ -368,6 +352,12 @@ type Fleet struct {
 	evacuations int
 	retries     int
 	failedJobs  int
+	// cacheHits/cacheMisses count tuning-cache lookups by admissions and
+	// retunes; busyNodeTicks sums, over every window, the window's ticks
+	// times the nodes in use, so utilization is exact however a span of
+	// ticks is cut into windows.
+	cacheHits, cacheMisses int64
+	busyNodeTicks          int64
 
 	events   eventHeap // every scheduled event, (t, kind, seq) order
 	eventSeq int
@@ -400,10 +390,6 @@ func New(cfg Config) (*Fleet, error) {
 	// point, so replayable stretches start dozens of ticks sooner after
 	// each perturbation.
 	cfg.SimCfg.SnapLatFeedback = true
-	router, err := NewRouting(cfg.Routing)
-	if err != nil {
-		return nil, err
-	}
 	admission, err := NewAdmissionPolicy(cfg.Admission)
 	if err != nil {
 		return nil, err
@@ -412,18 +398,12 @@ func New(cfg Config) (*Fleet, error) {
 	if dt <= 0 {
 		dt = 0.1
 	}
-	f := &Fleet{cfg: cfg, dt: dt, router: router, admission: admission, cache: cfg.Cache}
+	f := &Fleet{cfg: cfg, dt: dt, admission: admission, cache: cfg.Cache,
+		workers: min(cfg.Shards, runtime.GOMAXPROCS(0))}
 	if f.cache == nil {
 		f.cache = NewTuningCache(cfg.SimCfg, 0, cfg.Seed)
 	}
 	f.log.retain = cfg.LogRetention
-	f.workers = cfg.Workers
-	if f.workers <= 0 {
-		f.workers = min(cfg.Shards, runtime.GOMAXPROCS(0))
-	}
-	if f.workers > cfg.Shards {
-		f.workers = cfg.Shards
-	}
 	f.log.w = cfg.LogW
 	f.obs = cfg.Obs
 	if f.obs != nil {
@@ -431,41 +411,14 @@ func New(cfg Config) (*Fleet, error) {
 		// per-fleet caches (the default) attribution is exact.
 		f.cache.SetProbeObserver(f.obs.observeProbe)
 	}
-	for s := 0; s < cfg.Shards; s++ {
-		f.shards = append(f.shards, &shard{id: s})
-	}
 	for i := 0; i < cfg.Machines; i++ {
-		topo := cfg.NewMachine(i)
-		if topo == nil {
-			return nil, fmt.Errorf("fleet: NewMachine(%d) returned nil", i)
+		if _, err := f.newMachine(); err != nil {
+			return nil, err
 		}
-		if err := topo.Validate(); err != nil {
-			return nil, fmt.Errorf("fleet: machine %d: %w", i, err)
-		}
-		simCfg := cfg.SimCfg
-		// The fleet's event loop bounds time, not the per-engine MaxTime.
-		simCfg.MaxTime = math.Inf(1)
-		simCfg.Seed = cfg.Seed + uint64(i)*0x9e3779b97f4a7c15
-		m := &machine{
-			id:        i,
-			shard:     i % cfg.Shards,
-			topo:      topo,
-			eng:       sim.New(topo, simCfg),
-			free:      make([]bool, topo.NumNodes()),
-			freeCount: topo.NumNodes(),
-		}
-		for j := range m.free {
-			m.free[j] = true
-		}
-		f.machines = append(f.machines, m)
-		sh := f.shards[m.shard]
-		sh.machines = append(sh.machines, m)
-		sh.nodes += topo.NumNodes()
-		f.totalNodes += topo.NumNodes()
 	}
 	// The schema record is always line 0, so any consumer can version-gate
 	// before touching the rest of the log.
-	f.logAppend(-1, Record{T: 0, Type: "schema", Machine: -1, Version: LogSchemaVersion})
+	f.logAppend(Record{T: 0, Type: "schema", Machine: -1, Version: LogSchemaVersion})
 	if cfg.Faults != nil {
 		evs, err := cfg.Faults.materialize(cfg.Machines, cfg.Seed)
 		if err != nil {
@@ -500,7 +453,7 @@ func (f *Fleet) Cache() *TuningCache { return f.cache }
 
 // LogBytes returns the JSONL event log accumulated so far (records are
 // appended on the scheduler goroutine in event order, so the log is
-// independent of shard and worker counts). With Config.LogRetention > 0
+// independent of the pool's width). With Config.LogRetention > 0
 // only the most recent records are returned (the schema record trims away
 // once the bound bites); with LogRetention < 0 the mirror is disabled and
 // LogBytes returns nil — stream via Config.LogW when a bounded-memory run
@@ -550,9 +503,6 @@ func (f *Fleet) Submit(spec workload.Spec, workers int, workScale, at float64) (
 		ID: len(f.jobs) + 1, Spec: spec, Workers: workers, WorkScale: workScale,
 		Arrival: at, State: JobPending, Machine: -1, remFrac: 1,
 	}
-	h := fnv.New64a()
-	h.Write([]byte(spec.Signature()))
-	job.sigHash = h.Sum64()
 	f.jobs = append(f.jobs, job)
 	f.push(at, evArrive, job, -1)
 	f.prefetch(job)
@@ -592,13 +542,13 @@ func checkSpecSize(spec workload.Spec, workScale float64) error {
 
 // prefetch hints the tuning cache's probe pool with the key this job's
 // admission would demand if it were placed right now: the bestFit machine
-// (the same read-only rule routing and admission compose to) and its
-// current co-runner count. The prediction may be wrong — churn between
-// the hint and the admission changes the co-runner count — in which case
-// the hinted key is simply never consumed and the admission probes its
-// real key inline, exactly as an unhinted run would; a hint can therefore
-// never perturb the demand sequence, only overlap probe work with the
-// scheduler. Cheap when wrong, free when the key is already cached.
+// (the same read-only rule admission applies) and its current co-runner
+// count. The prediction may be wrong — churn between the hint and the
+// admission changes the co-runner count — in which case the hinted key is
+// simply never consumed and the admission probes its real key inline,
+// exactly as an unhinted run would; a hint can therefore never perturb
+// the demand sequence, only overlap probe work with the scheduler. Cheap
+// when wrong, free when the key is already cached.
 func (f *Fleet) prefetch(job *Job) {
 	if f.cfg.Policy != PolicyBWAP {
 		return
@@ -726,9 +676,9 @@ func (f *Fleet) run(target float64, drain bool) error {
 					if len(f.queue) > 0 {
 						// Nothing runs, nothing is scheduled, yet jobs wait:
 						// no future completion or recovery can ever admit
-						// them (e.g. every machine they could route to is
-						// down for good). Fail fast instead of grinding the
-						// clock to MaxSimTime.
+						// them (e.g. every machine they fit on is down for
+						// good). Fail fast instead of grinding the clock to
+						// MaxSimTime.
 						return fmt.Errorf("fleet: %d jobs stranded in queue with no pending events (%d/%d machines up)",
 							len(f.queue), f.machinesUp(), len(f.machines))
 					}
@@ -762,8 +712,8 @@ func (f *Fleet) run(target float64, drain bool) error {
 // not require quiescence — solves, phase changes and init bursts may all
 // happen inside it — so a busy fleet pays one barrier per emergent event
 // instead of one per tick. The window size is a pure function of global
-// fleet state, identical for every shard and worker count, which keeps
-// the merged log invariant.
+// fleet state, identical for every pool width, which keeps the log
+// invariant.
 func (f *Fleet) lookaheadWindow(t float64) int {
 	rt := (t - f.now) / f.dt
 	if !(rt < 1<<40) {
@@ -790,7 +740,7 @@ func (f *Fleet) handle(ev *event) error {
 	case evArrive:
 		job := ev.job
 		job.State = JobQueued
-		f.logAppend(-1, Record{T: job.Arrival, Type: "arrive", Job: job.ID, Machine: -1,
+		f.logAppend(Record{T: job.Arrival, Type: "arrive", Job: job.ID, Machine: -1,
 			Workload: job.Spec.Name, Workers: job.Workers, WorkScale: job.WorkScale})
 		// Re-hint with the fleet's current state: the submit-time prediction
 		// was made before any placements, so arrival time is where queued
@@ -802,7 +752,7 @@ func (f *Fleet) handle(ev *event) error {
 		}
 		if !admitted {
 			f.enqueue(job)
-			f.logAppend(-1, Record{T: job.Arrival, Type: "queue", Job: job.ID, Machine: -1, Workload: job.Spec.Name})
+			f.logAppend(Record{T: job.Arrival, Type: "queue", Job: job.ID, Machine: -1, Workload: job.Spec.Name})
 		}
 		return nil
 
@@ -837,13 +787,9 @@ func (f *Fleet) handle(ev *event) error {
 	return fmt.Errorf("fleet: unknown event kind %d", ev.kind)
 }
 
-// logAppend writes one record to the merged log, attributing it to a
-// shard (-1 = router-level records: arrive, queue).
-func (f *Fleet) logAppend(shardID int, rec Record) {
+// logAppend writes one record to the log and hands it to the observer.
+func (f *Fleet) logAppend(rec Record) {
 	f.log.append(rec)
-	if shardID >= 0 {
-		f.shards[shardID].records++
-	}
 	if f.obs != nil {
 		f.obs.record(rec)
 	}
@@ -851,12 +797,10 @@ func (f *Fleet) logAppend(shardID int, rec Record) {
 
 // bestFit is THE machine-selection rule: the most-free up machine that
 // fits the worker demand, ties to the earliest in the slice (= lowest id,
-// as every machine list is id-ascending). Drained and crashed machines are
+// as the machine list is id-ascending). Drained and crashed machines are
 // invisible — that single check is how every admission path honors the
-// lifecycle state. The least-loaded router and the shard-level admission
-// both call it, which is what makes their composition pick the same
-// machine for any shard partition — the replay-equivalence tests depend on
-// this staying a single function.
+// lifecycle state. Admission, prefetch hints and the work-conservation
+// test all ask it, so they cannot disagree about where a job fits.
 func bestFit(ms []*machine, workers int) *machine {
 	var best *machine
 	for _, m := range ms {
@@ -867,17 +811,11 @@ func bestFit(ms []*machine, workers int) *machine {
 	return best
 }
 
-// tryAdmit asks the router for a shard, then admits within it: the
-// shard's bestFit machine takes the job, with the admission policy
-// picking the node set. False means no capacity on the routed shard (or
-// nowhere, for the least-loaded router).
+// tryAdmit admits the job onto the fleet's bestFit machine, with the
+// admission policy picking the node set. False means no up machine has
+// room for it.
 func (f *Fleet) tryAdmit(job *Job) (bool, error) {
-	si := f.router.route(f, job)
-	if si < 0 {
-		return false, nil
-	}
-	s := f.shards[si]
-	best := bestFit(s.machines, job.Workers)
+	best := bestFit(f.machines, job.Workers)
 	if best == nil {
 		return false, nil
 	}
@@ -899,7 +837,6 @@ func (f *Fleet) tryAdmit(job *Job) (bool, error) {
 // policy's placer (consulting the tuning cache under bwap), registers the
 // app and performs the initial placement.
 func (f *Fleet) place(job *Job, m *machine, nodes []topology.NodeID) error {
-	s := f.shards[m.shard]
 	coRunners := len(m.active)
 
 	var placer sim.Placer
@@ -920,11 +857,7 @@ func (f *Fleet) place(job *Job, m *machine, nodes []topology.NodeID) error {
 			m.release(nodes)
 			return err
 		}
-		if hit {
-			s.cacheHits++
-		} else {
-			s.cacheMisses++
-		}
+		f.countLookup(hit)
 		job.CacheHit = hit
 		hitPtr = &hit
 		placer = core.StaticDWP{
@@ -956,14 +889,13 @@ func (f *Fleet) place(job *Job, m *machine, nodes []topology.NodeID) error {
 	job.app = app
 	m.active = append(m.active, job)
 	f.running++
-	s.admitted++
 
 	rec := Record{T: f.now, Type: "admit", Job: job.ID, Machine: m.id,
 		Workload: job.Spec.Name, Nodes: nodeInts(nodes), CacheHit: hitPtr}
 	if f.cfg.Policy == PolicyBWAP {
 		rec.DWP = &dwp
 	}
-	f.logAppend(m.shard, rec)
+	f.logAppend(rec)
 	f.scheduleRetune(m)
 	return nil
 }
@@ -972,7 +904,6 @@ func (f *Fleet) place(job *Job, m *machine, nodes []topology.NodeID) error {
 // the engine, and backfills the queue.
 func (f *Fleet) complete(job *Job) error {
 	m := f.machines[job.Machine]
-	s := f.shards[m.shard]
 	job.State = JobDone
 	job.Finish = job.app.FinishTime()
 	m.release(job.Nodes)
@@ -987,12 +918,11 @@ func (f *Fleet) complete(job *Job) error {
 		}
 	}
 	f.running--
-	s.completed++
-	f.logAppend(m.shard, Record{T: job.Finish, Type: "complete", Job: job.ID, Machine: m.id,
+	f.logAppend(Record{T: job.Finish, Type: "complete", Job: job.ID, Machine: m.id,
 		Workload: job.Spec.Name, Elapsed: job.Finish - job.Admit})
 	if f.obs != nil {
 		// Completion is a deterministic point of the record stream, so
-		// sampling the engine fixed point here is shard-invariant.
+		// sampling the engine fixed point here is width-invariant.
 		f.obs.observeEngine(m.eng)
 	}
 	f.scheduleRetune(m)
@@ -1026,18 +956,13 @@ func (f *Fleet) retune(m *machine) error {
 	for _, job := range m.active {
 		f.cache.Prefetch(m.topo, job.Spec, job.Workers, len(m.active)-1)
 	}
-	s := f.shards[m.shard]
 	jobs := make([]int, 0, len(m.active))
 	for _, job := range m.active {
 		dwp, hit, err := f.cache.DWP(m.topo, job.Spec, job.Workers, len(m.active)-1)
 		if err != nil {
 			return fmt.Errorf("fleet: retuning job %d: %w", job.ID, err)
 		}
-		if hit {
-			s.cacheHits++
-		} else {
-			s.cacheMisses++
-		}
+		f.countLookup(hit)
 		canonical, err := f.cache.Canonical(m.topo).Weights(job.Nodes)
 		if err != nil {
 			return fmt.Errorf("fleet: retuning job %d: %w", job.ID, err)
@@ -1051,9 +976,17 @@ func (f *Fleet) retune(m *machine) error {
 		}
 		jobs = append(jobs, job.ID)
 	}
-	s.retunes++
-	f.logAppend(m.shard, Record{T: f.now, Type: "retune", Machine: m.id, Jobs: jobs})
+	f.logAppend(Record{T: f.now, Type: "retune", Machine: m.id, Jobs: jobs})
 	return nil
+}
+
+// countLookup counts one tuning-cache lookup as a hit or a miss.
+func (f *Fleet) countLookup(hit bool) {
+	if hit {
+		f.cacheHits++
+	} else {
+		f.cacheMisses++
+	}
 }
 
 func nodeInts(nodes []topology.NodeID) []int {

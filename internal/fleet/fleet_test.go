@@ -380,9 +380,6 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := New(Config{Policy: "nope"}); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
-	if _, err := New(Config{Routing: "nope"}); err == nil {
-		t.Fatal("unknown routing accepted")
-	}
 	if _, err := New(Config{Admission: "nope"}); err == nil {
 		t.Fatal("unknown admission policy accepted")
 	}
@@ -391,72 +388,24 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestRoundRobinRoutingCycles pins the sticky per-job shard assignment:
-// with one machine per shard, concurrent jobs land on machines 0..3 in
-// submission order.
-func TestRoundRobinRoutingCycles(t *testing.T) {
-	cfg := testConfig(PolicyFirstTouch, 2)
-	cfg.Machines, cfg.Shards, cfg.Routing = 4, 4, RouteRoundRobin
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := f.Submit(testSpec("rr"), 1, 0.1, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := f.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 4; i++ {
-		if got := f.Job(i).Machine; got != i-1 {
-			t.Fatalf("job %d ran on machine %d, want %d", i, got, i-1)
-		}
-	}
-}
-
-// TestHashAffinityCoLocatesSignatures submits two concurrent jobs of the
-// same workload: the least-loaded router would spread them to different
-// machines, hash affinity must keep them on the same shard's machine.
-func TestHashAffinityCoLocatesSignatures(t *testing.T) {
-	cfg := testConfig(PolicyFirstTouch, 2)
-	cfg.Machines, cfg.Shards, cfg.Routing = 2, 2, RouteHashAffinity
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := testSpec("affine")
-	if _, err := f.Submit(spec, 1, 0.1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Submit(spec, 1, 0.1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if f.Job(1).Machine != f.Job(2).Machine {
-		t.Fatalf("same-signature jobs split across machines %d and %d",
-			f.Job(1).Machine, f.Job(2).Machine)
-	}
-
-	// Control: the default router spreads them.
-	cfg.Routing = RouteLeastLoaded
-	f2, err := New(cfg)
+// TestLeastLoadedSpreadsConcurrentJobs submits two concurrent jobs of the
+// same workload to two free machines: bestFit must put them on different
+// machines.
+func TestLeastLoadedSpreadsConcurrentJobs(t *testing.T) {
+	f, err := New(testConfig(PolicyFirstTouch, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := f2.Submit(spec, 1, 0.1, 0); err != nil {
+		if _, err := f.Submit(testSpec("spread"), 1, 0.1, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := f2.Run(); err != nil {
+	if _, err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if f2.Job(1).Machine == f2.Job(2).Machine {
-		t.Fatal("least-loaded router co-located concurrent jobs with free machines available")
+	if f.Job(1).Machine == f.Job(2).Machine {
+		t.Fatal("concurrent jobs co-located with a free machine available")
 	}
 }
 
@@ -533,50 +482,5 @@ func TestAdmissionAntiAffinityAvoidsBusyNeighbours(t *testing.T) {
 	}
 	if nodes[0] != 2 || nodes[1] != 3 {
 		t.Fatalf("modest job got %v, want most-free prefix [2 3]", nodes)
-	}
-}
-
-// TestShardStatsPartition verifies the per-shard snapshot: disjoint
-// machine ownership covering the fleet, and counters that add up to the
-// fleet totals.
-func TestShardStatsPartition(t *testing.T) {
-	cfg := testConfig(PolicyBWAP, 11)
-	cfg.Machines, cfg.Shards = 4, 3
-	f, stats := runFleet(t, cfg, testStreams())
-	shards := f.ShardStats()
-	if len(shards) != 3 {
-		t.Fatalf("%d shard stats, want 3", len(shards))
-	}
-	seen := map[int]bool{}
-	admitted, completed, records := 0, 0, 0
-	var hits, misses int64
-	for _, sh := range shards {
-		for _, m := range sh.Machines {
-			if seen[m] {
-				t.Fatalf("machine %d owned by two shards", m)
-			}
-			seen[m] = true
-		}
-		if sh.SimTime != stats.SimTime {
-			t.Fatalf("shard %d clock %.3f, fleet %.3f", sh.Shard, sh.SimTime, stats.SimTime)
-		}
-		admitted += sh.Admitted
-		completed += sh.Completed
-		records += sh.LogRecords
-		hits += sh.CacheHits
-		misses += sh.CacheMisses
-	}
-	if len(seen) != 4 {
-		t.Fatalf("shards own %d machines, want 4", len(seen))
-	}
-	if completed != stats.Completed || admitted != stats.Completed {
-		t.Fatalf("shard admit/complete %d/%d, fleet completed %d", admitted, completed, stats.Completed)
-	}
-	if hits != stats.CacheHits || misses != stats.CacheMisses {
-		t.Fatalf("shard cache %d/%d, fleet %d/%d", hits, misses, stats.CacheHits, stats.CacheMisses)
-	}
-	// Router-level arrive/queue records are attributed to no shard.
-	if records >= stats.LogRecords {
-		t.Fatalf("shard records %d should exclude router records (total %d)", records, stats.LogRecords)
 	}
 }

@@ -41,7 +41,6 @@ func (s machineState) String() string {
 // daemon's /machines endpoint.
 type MachineView struct {
 	ID        int    `json:"id"`
-	Shard     int    `json:"shard"`
 	State     string `json:"state"`
 	Nodes     int    `json:"nodes"`
 	FreeNodes int    `json:"free_nodes"`
@@ -54,7 +53,7 @@ func (f *Fleet) Machines() []MachineView {
 	out := make([]MachineView, len(f.machines))
 	for i, m := range f.machines {
 		v := MachineView{
-			ID: m.id, Shard: m.shard, State: m.state.String(),
+			ID: m.id, State: m.state.String(),
 			Nodes: len(m.free), FreeNodes: m.freeCount,
 		}
 		for _, j := range m.active {
@@ -78,8 +77,8 @@ func (f *Fleet) machinesUp() int {
 
 // Drain gracefully takes machine id out of service: admission stops and
 // every running job is evacuated — progress snapshotted, remainder
-// resubmitted through the routing/admission tiers. The server's /drain
-// endpoint calls this between Advance windows.
+// resubmitted through admission. The server's /drain endpoint calls this
+// between Advance windows.
 func (f *Fleet) Drain(id int) error {
 	m, err := f.machineByID(id)
 	if err != nil {
@@ -122,11 +121,11 @@ func (f *Fleet) machineByID(id int) (*machine, error) {
 // already an event in flight (seen) finish where they are — in the
 // discrete model they completed before the drain took effect; everything
 // else is evacuated: progress snapshotted into the job's remaining-work
-// fraction, the app detached, and the remainder resubmitted through the
-// normal routing/admission tiers (queueing if nothing fits). A drain of a
-// machine that is not up is a no-op, so a FaultPlan drain racing a crash
-// at the same instant — crashes sort first — never "gracefully" evacuates
-// jobs the crash already killed.
+// fraction, the app detached, and the remainder resubmitted through
+// normal admission (queueing if nothing fits). A drain of a machine that
+// is not up is a no-op, so a FaultPlan drain racing a crash at the same
+// instant — crashes sort first — never "gracefully" evacuates jobs the
+// crash already killed.
 func (f *Fleet) drainMachine(m *machine) error {
 	if m.state != machineUp {
 		return nil
@@ -137,7 +136,7 @@ func (f *Fleet) drainMachine(m *machine) error {
 	for i, j := range evac {
 		ids[i] = j.ID
 	}
-	f.logAppend(m.shard, Record{T: f.now, Type: "drain", Machine: m.id, Jobs: ids})
+	f.logAppend(Record{T: f.now, Type: "drain", Machine: m.id, Jobs: ids})
 	f.evacuations += len(evac)
 	for _, job := range evac {
 		admitted, err := f.tryAdmit(job)
@@ -146,7 +145,7 @@ func (f *Fleet) drainMachine(m *machine) error {
 		}
 		if !admitted {
 			f.enqueue(job)
-			f.logAppend(-1, Record{T: f.now, Type: "queue", Job: job.ID, Machine: -1, Workload: job.Spec.Name})
+			f.logAppend(Record{T: f.now, Type: "queue", Job: job.ID, Machine: -1, Workload: job.Spec.Name})
 		}
 	}
 	return nil
@@ -167,13 +166,13 @@ func (f *Fleet) crashMachine(m *machine) error {
 	for i, j := range killed {
 		ids[i] = j.ID
 	}
-	f.logAppend(m.shard, Record{T: f.now, Type: "crash", Machine: m.id, Jobs: ids})
+	f.logAppend(Record{T: f.now, Type: "crash", Machine: m.id, Jobs: ids})
 	for _, job := range killed {
 		job.Attempts++
 		if job.Attempts > f.cfg.MaxRetries {
 			job.State = JobFailed
 			f.failedJobs++
-			f.logAppend(-1, Record{T: f.now, Type: "fail", Job: job.ID, Machine: -1,
+			f.logAppend(Record{T: f.now, Type: "fail", Job: job.ID, Machine: -1,
 				Workload: job.Spec.Name, Attempt: job.Attempts})
 			continue
 		}
@@ -185,7 +184,7 @@ func (f *Fleet) crashMachine(m *machine) error {
 		job.State = JobRetryWait
 		f.retries++
 		f.push(at, evRetry, job, -1)
-		f.logAppend(-1, Record{T: f.now, Type: "retry", Job: job.ID, Machine: -1,
+		f.logAppend(Record{T: f.now, Type: "retry", Job: job.ID, Machine: -1,
 			Workload: job.Spec.Name, Attempt: job.Attempts, RetryAt: at})
 	}
 	return nil
@@ -242,40 +241,46 @@ func (f *Fleet) recoverMachine(m *machine) error {
 		return nil
 	}
 	m.state = machineUp
-	f.logAppend(m.shard, Record{T: f.now, Type: "recover", Machine: m.id})
+	f.logAppend(Record{T: f.now, Type: "recover", Machine: m.id})
 	return f.backfill()
 }
 
 // addMachine is the machine-add event handler: the fleet grows by one
-// machine with the next id, its topology from Config.NewMachine, its
-// engine seeded by the same id-derived formula as the boot-time members,
-// and its clock caught up to the lockstep tick count so every engine keeps
-// ticking in unison. The new machine joins shard id mod shards — the same
-// round-robin rule New applies — so the machine→shard map stays a pure
-// function of the id and the log stays shard-count invariant.
+// machine with the next id (see newMachine).
 func (f *Fleet) addMachine() error {
+	m, err := f.newMachine()
+	if err != nil {
+		return err
+	}
+	f.logAppend(Record{T: f.now, Type: "machine-add", Machine: m.id})
+	return f.backfill()
+}
+
+// newMachine appends an up machine with the next id: its topology from
+// Config.NewMachine, its engine seeded from Seed and the id, and its clock
+// caught up to the lockstep tick count. Every existing engine has ticked
+// the same number of times, and the clock is a per-tick += dt
+// accumulation, so a machine added mid-run keeps ticking in unison with
+// its peers.
+func (f *Fleet) newMachine() (*machine, error) {
 	id := len(f.machines)
 	topo := f.cfg.NewMachine(id)
 	if topo == nil {
-		return fmt.Errorf("fleet: NewMachine(%d) returned nil", id)
+		return nil, fmt.Errorf("fleet: NewMachine(%d) returned nil", id)
 	}
 	if err := topo.Validate(); err != nil {
-		return fmt.Errorf("fleet: machine %d: %w", id, err)
+		return nil, fmt.Errorf("fleet: machine %d: %w", id, err)
 	}
 	simCfg := f.cfg.SimCfg
+	// The fleet's event loop bounds time, not the per-engine MaxTime.
 	simCfg.MaxTime = math.Inf(1)
 	simCfg.Seed = f.cfg.Seed + uint64(id)*0x9e3779b97f4a7c15
 	eng := sim.New(topo, simCfg)
-	// Catch the fresh engine up to the fleet's lockstep tick count. Every
-	// existing engine has ticked the same number of times, and the clock is
-	// a per-tick += dt accumulation, so afterwards the new engine's clock
-	// is bit-equal to its peers'.
-	if len(f.machines) > 0 {
+	if id > 0 {
 		eng.AdvanceTicks(f.machines[0].eng.Ticks())
 	}
 	m := &machine{
 		id:        id,
-		shard:     id % len(f.shards),
 		topo:      topo,
 		eng:       eng,
 		free:      make([]bool, topo.NumNodes()),
@@ -286,12 +291,8 @@ func (f *Fleet) addMachine() error {
 		m.free[j] = true
 	}
 	f.machines = append(f.machines, m)
-	sh := f.shards[m.shard]
-	sh.machines = append(sh.machines, m)
-	sh.nodes += topo.NumNodes()
 	f.totalNodes += topo.NumNodes()
-	f.logAppend(m.shard, Record{T: f.now, Type: "machine-add", Machine: id})
-	return f.backfill()
+	return m, nil
 }
 
 // retryJob is the retry event handler: the job's backoff elapsed, so it
@@ -306,7 +307,7 @@ func (f *Fleet) retryJob(job *Job) error {
 	}
 	if !admitted {
 		f.enqueue(job)
-		f.logAppend(-1, Record{T: f.now, Type: "queue", Job: job.ID, Machine: -1, Workload: job.Spec.Name})
+		f.logAppend(Record{T: f.now, Type: "queue", Job: job.ID, Machine: -1, Workload: job.Spec.Name})
 	}
 	return nil
 }

@@ -13,8 +13,8 @@ import (
 // graceful evacuation preserves progress, crashes retry with capped
 // exponential backoff until the budget runs out, capacity changes backfill
 // the queue, and — the tentpole property — no amount of churn loses or
-// duplicates a job, with the event log staying bit-identical across shard
-// counts and with fast-forward on or off.
+// duplicates a job, with the event log staying bit-identical across tick
+// pool widths and with fast-forward on or off.
 
 // submitOne puts a single long-running job into the fleet at time at.
 func submitOne(t *testing.T, f *Fleet, name string, workers int, at float64) *Job {
@@ -432,28 +432,85 @@ func chaosTestPlan() *FaultPlan {
 	}}
 }
 
-// chaosShardConfig is shardConfig plus the chaos plan.
-func chaosShardConfig(shards, workers int, disableFF bool) Config {
-	cfg := shardConfig(PolicyFirstTouch, AdmitMostFree, shards, workers, 31)
+// chaosPoolConfig is poolConfig plus the chaos plan.
+func chaosPoolConfig(width int, disableFF bool) Config {
+	cfg := poolConfig(PolicyFirstTouch, AdmitMostFree, width, 31)
 	cfg.Faults = chaosTestPlan()
 	cfg.SimCfg.DisableFastForward = disableFF
 	return cfg
+}
+
+// checkWorkConservation fails the test if a queued job fits on an up
+// machine: after every handled event, backfill must have admitted each
+// queued job that bestFit can place, not only those ahead of the first
+// one that does not fit.
+func checkWorkConservation(t *testing.T, f *Fleet) {
+	t.Helper()
+	for _, j := range f.queue {
+		if m := bestFit(f.machines, j.Workers); m != nil {
+			t.Fatalf("t=%.1f: queued job %d (%d workers) fits on up machine %d (%d nodes free)",
+				f.Now(), j.ID, j.Workers, m.id, m.freeCount)
+		}
+	}
+}
+
+// TestBackfillPassesBlockedHead pins work conservation on one 4-node
+// machine: a long 3-node job and a short 1-node job fill it, then a
+// 4-node job queues ahead of a 1-node job. When the short job ends, the
+// 1-node job must be admitted although the 4-node job ahead of it still
+// does not fit.
+func TestBackfillPassesBlockedHead(t *testing.T) {
+	cfg := testConfig(PolicyFirstTouch, 5)
+	cfg.Machines = 1
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := submitOne(t, f, "long", 3, 0)
+	short, err := f.Submit(testSpec("short"), 1, 0.1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := submitOne(t, f, "whole", 4, 0)
+	small, err := f.Submit(testSpec("small"), 1, 0.1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ProcessDue(); err != nil {
+		t.Fatal(err)
+	}
+	if long.State != JobRunning || short.State != JobRunning || whole.State != JobQueued || small.State != JobQueued {
+		t.Fatalf("start: long %s, short %s, whole %s, small %s; want running, running, queued, queued",
+			long.State, short.State, whole.State, small.State)
+	}
+	for short.State == JobRunning {
+		if err := f.Advance(0.1); err != nil {
+			t.Fatal(err)
+		}
+		checkWorkConservation(t, f)
+	}
+	// Admission binds to the first tick boundary after the completion.
+	if long.State != JobRunning || whole.State != JobQueued || small.State != JobRunning || small.Admit > short.Finish+f.dt {
+		t.Fatalf("after the short job ended at t=%.2f: long %s, whole %s, small %s (admitted at %.2f)",
+			short.Finish, long.State, whole.State, small.State, small.Admit)
+	}
 }
 
 // TestConservationUnderChaos is the tentpole property test: stepping the
 // fleet through drain/crash/recover/add churn in small Advance windows,
 // the job-conservation invariant must hold at every barrier — submitted =
 // pending + queued + retry-wait + running + completed + failed, counters
-// consistent — and every job must reach a terminal state in the end. Runs
-// with fast-forward on and off and demands bit-identical logs.
+// consistent — and so must work conservation (no queued job fits on an up
+// machine); every job must reach a terminal state in the end. Runs with
+// fast-forward on and off and demands bit-identical logs.
 func TestConservationUnderChaos(t *testing.T) {
 	var logs [][]byte
 	for _, disableFF := range []bool{true, false} {
-		f, err := New(chaosShardConfig(2, 2, disableFF))
+		f, err := New(chaosPoolConfig(2, disableFF))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.SubmitStream(shardStreams()); err != nil {
+		if err := f.SubmitStream(denseStreams()); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Conservation(); err != nil {
@@ -466,6 +523,7 @@ func TestConservationUnderChaos(t *testing.T) {
 			if err := f.Conservation(); err != nil {
 				t.Fatalf("disableFF=%v: at t=%.1f: %v", disableFF, f.Now(), err)
 			}
+			checkWorkConservation(t, f)
 		}
 		stats, err := f.Run()
 		if err != nil {
@@ -494,13 +552,13 @@ func TestConservationUnderChaos(t *testing.T) {
 // TestChaosTraceReplayShardInvariance extends the replay-equivalence suite
 // with fault injection: a recorded chaos log, re-ingested via ReadTrace
 // and rerun with the same FaultPlan, reproduces itself bit for bit at
-// 1, 2 and 4 shards.
+// every pool width.
 func TestChaosTraceReplayShardInvariance(t *testing.T) {
-	rec, stats := runFleet(t, chaosShardConfig(1, 1, false), shardStreams())
+	rec, stats := runFleet(t, chaosPoolConfig(1, false), denseStreams())
 	if stats.Evacuations == 0 && stats.Retries == 0 {
-		t.Fatal("recorded run hit no faults; shard invariance would be vacuous")
+		t.Fatal("recorded run hit no faults; width invariance would be vacuous")
 	}
-	// shardStreams uses custom specs, so the trace needs a resolver that
+	// denseStreams uses custom specs, so the trace needs a resolver that
 	// maps their names back (modest is testSpec with smaller bandwidth).
 	resolve := func(name string) (workload.Spec, error) {
 		spec := testSpec(name)
@@ -513,11 +571,11 @@ func TestChaosTraceReplayShardInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 4} {
-		f, _ := runFleet(t, chaosShardConfig(shards, shards, false), trace)
+	for _, width := range poolWidths {
+		f, _ := runFleet(t, chaosPoolConfig(width, false), trace)
 		if !bytes.Equal(rec.LogBytes(), f.LogBytes()) {
-			t.Fatalf("chaos replay at %d shards changed the log\n--- recorded ---\n%s\n--- replay ---\n%s",
-				shards, rec.LogBytes(), f.LogBytes())
+			t.Fatalf("chaos replay at width %d changed the log\n--- recorded ---\n%s\n--- replay ---\n%s",
+				width, rec.LogBytes(), f.LogBytes())
 		}
 	}
 }
@@ -525,7 +583,7 @@ func TestChaosTraceReplayShardInvariance(t *testing.T) {
 // TestLifecycleRecordsWellFormed drives the chaos plan once and checks the
 // structural contract of the new record kinds.
 func TestLifecycleRecordsWellFormed(t *testing.T) {
-	f, _ := runFleet(t, chaosShardConfig(2, 1, false), shardStreams())
+	f, _ := runFleet(t, chaosPoolConfig(1, false), denseStreams())
 	recs, err := DecodeLog(f.LogBytes())
 	if err != nil {
 		t.Fatal(err)

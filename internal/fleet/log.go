@@ -65,16 +65,12 @@ type Record struct {
 	RetryAt float64 `json:"retry_at,omitempty"`
 }
 
-// eventLog accumulates the merged JSONL log, optionally mirroring each
-// line to a streaming writer. With sharding, records belong to per-shard
-// streams (admits, completes and retunes to the owning machine's shard,
-// arrive/queue to the router); the merge is the interleave by the
-// fleet-global sequence number, which is assigned here under the
-// scheduler — handling is serialized even when tick advancement is
-// parallel — so the merged order is total, causal, and independent of
-// shard and worker counts. Shard ids are deliberately absent from the
-// records themselves: a machine's shard changes with Config.Shards, and
-// stamping it would break the shard-count invariance of the log.
+// eventLog accumulates the JSONL log, optionally mirroring each line to a
+// streaming writer. Records are ordered by the fleet-global sequence
+// number, which is assigned here under the scheduler — handling is
+// serialized even when tick advancement is parallel — so the order is
+// total, causal, and independent of the tick pool's width. No record
+// names the goroutine that advanced its machine.
 type eventLog struct {
 	// buf mirrors the encoded log in memory. With retain == 0 it holds the
 	// whole log; with retain > 0 only the most recent retain lines, tracked

@@ -33,8 +33,8 @@ type ObserverConfig struct {
 
 // Observer is the fleet's telemetry layer: a pure consumer of the merged
 // event-record stream. Counters, histograms, timeline windows and spans
-// update only from records (which are bit-reproducible per seed, shard
-// count and worker count); instantaneous gauges are synced from fleet
+// update only from records (which are bit-reproducible per seed and
+// independent of the tick pool's width); instantaneous gauges are synced from fleet
 // state at exposition time. The observer never touches the log, the RNG,
 // or the tick/barrier path — attaching one cannot change the event log by
 // a byte, and replaying a recorded trace reproduces the /metrics
@@ -102,7 +102,7 @@ func NewObserver(cfg ObserverConfig) *Observer {
 	}
 
 	o.arrivals = r.Counter("bwap_job_arrivals_total", "Job arrival events fired.")
-	o.queueEvents = r.Counter("bwap_job_queue_events_total", "Times a job entered the wait queue (no capacity on its routed shard).")
+	o.queueEvents = r.Counter("bwap_job_queue_events_total", "Times a job entered the wait queue (no up machine had room for it).")
 	o.admits = r.Counter("bwap_job_admits_total", "Job placements (fresh arrivals, evacuations and retries alike).")
 	o.completions = r.Counter("bwap_job_completions_total", "Jobs that ran to completion.")
 	o.failures = r.Counter("bwap_job_failures_total", "Jobs that exhausted their crash-retry budget (terminal).")
@@ -204,7 +204,7 @@ type spanArgs struct {
 	Outcome  string `json:"outcome,omitempty"`
 }
 
-// pid maps a machine id to a span process id (router-level records,
+// pid maps a machine id to a span process id (fleet-level records,
 // machine -1, land on pid 0).
 func pid(machine int) int { return machine + 1 }
 
@@ -325,7 +325,7 @@ func (o *Observer) record(rec Record) {
 // observeEngine samples the completing machine's latency-feedback
 // multipliers — the engine fixed point exposed as a first-class signal.
 // Called at completion events, a deterministic point of the record
-// stream, so the histogram is shard- and worker-invariant.
+// stream, so the histogram is invariant over the pool's width.
 func (o *Observer) observeEngine(eng *sim.Engine) {
 	o.mu.Lock()
 	defer o.mu.Unlock()

@@ -17,11 +17,11 @@ import (
 	"bwap/internal/workload"
 )
 
-// obsFaultConfig is the chaos-flavored telemetry fixture: the sharded
-// 8-machine config plus a crash (retry path) and a drain (evacuation
-// path), so an observed run exercises every record type.
-func obsFaultConfig(shards, workers int) Config {
-	cfg := shardConfig(PolicyBWAP, AdmitMostFree, shards, workers, 23)
+// obsFaultConfig is the chaos-flavored telemetry fixture: the 8-machine
+// config at the given pool width plus a crash (retry path) and a drain
+// (evacuation path), so an observed run exercises every record type.
+func obsFaultConfig(width int) Config {
+	cfg := poolConfig(PolicyBWAP, AdmitMostFree, width, 23)
 	cfg.Faults = &FaultPlan{Faults: []FaultSpec{
 		{Kind: FaultCrash, Machines: []int{0}, At: 1.5, RecoverAfter: 3},
 		{Kind: FaultDrain, Machines: []int{2}, At: 2, RecoverAfter: 4},
@@ -29,7 +29,7 @@ func obsFaultConfig(shards, workers int) Config {
 	return cfg
 }
 
-// obsResolve maps shardStreams workload names back to specs for ReadTrace.
+// obsResolve maps denseStreams workload names back to specs for ReadTrace.
 func obsResolve(name string) (workload.Spec, error) {
 	switch name {
 	case "alpha", "beta":
@@ -70,13 +70,13 @@ func timelineJSON(t *testing.T, f *Fleet, window float64) []byte {
 // observer consumes records and never produces them.
 func TestTelemetryDoesNotPerturbLog(t *testing.T) {
 	for _, policy := range []string{PolicyFirstTouch, PolicyBWAP} {
-		cfg := obsFaultConfig(2, 2)
+		cfg := obsFaultConfig(2)
 		cfg.Policy = policy
-		bare, _ := runFleet(t, cfg, shardStreams())
+		bare, _ := runFleet(t, cfg, denseStreams())
 
 		var spanBuf bytes.Buffer
 		cfg.Obs = NewObserver(ObserverConfig{SpanW: &spanBuf})
-		observed, stats := runFleet(t, cfg, shardStreams())
+		observed, stats := runFleet(t, cfg, denseStreams())
 
 		if !bytes.Equal(bare.LogBytes(), observed.LogBytes()) {
 			t.Fatalf("%s: telemetry perturbed the event log\n--- bare ---\n%s\n--- observed ---\n%s",
@@ -103,14 +103,14 @@ func TestTelemetryDoesNotPerturbLog(t *testing.T) {
 }
 
 // TestMetricsReplayByteIdentical pins the exposition determinism claim:
-// replaying a recorded trace through identically configured fleets at 1,
-// 2 and 4 shards reproduces the /metrics text, the timeline JSON and the
+// replaying a recorded trace through identically configured fleets at
+// every pool width reproduces the /metrics text, the timeline JSON and the
 // span log byte for byte.
 func TestMetricsReplayByteIdentical(t *testing.T) {
-	cfg := obsFaultConfig(1, 1)
+	cfg := obsFaultConfig(1)
 	var baseSpans bytes.Buffer
 	cfg.Obs = NewObserver(ObserverConfig{SpanW: &baseSpans})
-	recorded, _ := runFleet(t, cfg, shardStreams())
+	recorded, _ := runFleet(t, cfg, denseStreams())
 	if err := recorded.Observer().CloseSpans(); err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +124,8 @@ func TestMetricsReplayByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct{ shards, workers int }{{1, 1}, {2, 2}, {4, 4}} {
-		rcfg := obsFaultConfig(c.shards, c.workers)
+	for _, width := range poolWidths {
+		rcfg := obsFaultConfig(width)
 		var spans bytes.Buffer
 		rcfg.Obs = NewObserver(ObserverConfig{SpanW: &spans})
 		rf, _ := runFleet(t, rcfg, streams)
@@ -133,18 +133,18 @@ func TestMetricsReplayByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(recorded.LogBytes(), rf.LogBytes()) {
-			t.Fatalf("shards=%d: replay diverged from recording", c.shards)
+			t.Fatalf("width=%d: replay diverged from recording", width)
 		}
 		if got := metricsOf(t, rf); !bytes.Equal(baseMetrics, got) {
-			t.Fatalf("shards=%d changed /metrics\n--- base ---\n%s\n--- got ---\n%s",
-				c.shards, baseMetrics, got)
+			t.Fatalf("width=%d changed /metrics\n--- base ---\n%s\n--- got ---\n%s",
+				width, baseMetrics, got)
 		}
 		if got := timelineJSON(t, rf, 2); !bytes.Equal(baseTimeline, got) {
-			t.Fatalf("shards=%d changed the timeline\n--- base ---\n%s\n--- got ---\n%s",
-				c.shards, baseTimeline, got)
+			t.Fatalf("width=%d changed the timeline\n--- base ---\n%s\n--- got ---\n%s",
+				width, baseTimeline, got)
 		}
 		if !bytes.Equal(baseSpans.Bytes(), spans.Bytes()) {
-			t.Fatalf("shards=%d changed the span log", c.shards)
+			t.Fatalf("width=%d changed the span log", width)
 		}
 	}
 }
@@ -180,7 +180,6 @@ func TestServerMethodChecks(t *testing.T) {
 		{"/status", "GET"},
 		{"/jobs", "GET"},
 		{"/fleet", "GET"},
-		{"/shards", "GET"},
 		{"/machines", "GET"},
 		{"/drain", "POST"},
 		{"/recover", "POST"},

@@ -10,7 +10,7 @@ import (
 // for a cold cache, the probe pool width must be invisible to every
 // demand-side observable. A chaos + telemetry fleet runs at probe-workers
 // −1 (pool disabled: the pre-pool synchronous behaviour), 1 and 4,
-// crossed with shards/workers 1, 2 and 4; the merged event log, the
+// crossed with tick-pool widths 1, 2 and 4; the event log, the
 // /metrics exposition and the probe-observer consumption sequence must
 // all be byte-for-byte (resp. value-for-value) identical across the
 // whole matrix. Only wall-clock time may change with the pool width.
@@ -23,8 +23,8 @@ func TestProbePoolDeterminism(t *testing.T) {
 	}
 	var runs []outcome
 	for _, pw := range []int{-1, 1, 4} {
-		for _, c := range []struct{ shards, workers int }{{1, 1}, {2, 2}, {4, 4}} {
-			cfg := obsFaultConfig(c.shards, c.workers)
+		for _, width := range []int{1, 2, 4} {
+			cfg := obsFaultConfig(width)
 			cfg.Cache = NewTuningCache(cfg.SimCfg, 0, cfg.Seed, ProbeWorkers(pw))
 			cfg.Obs = NewObserver(ObserverConfig{})
 			f, err := New(cfg)
@@ -40,7 +40,7 @@ func TestProbePoolDeterminism(t *testing.T) {
 				probes = append(probes, secs)
 				inner(secs)
 			})
-			if err := f.SubmitStream(shardStreams()); err != nil {
+			if err := f.SubmitStream(denseStreams()); err != nil {
 				t.Fatal(err)
 			}
 			stats, err := f.Run()
@@ -51,7 +51,7 @@ func TestProbePoolDeterminism(t *testing.T) {
 				t.Fatal("no jobs completed; the matrix is vacuous")
 			}
 			runs = append(runs, outcome{
-				name:    fmt.Sprintf("probe-workers=%d shards=%d", pw, c.shards),
+				name:    fmt.Sprintf("probe-workers=%d width=%d", pw, width),
 				log:     f.LogBytes(),
 				metrics: metricsOf(t, f),
 				probes:  probes,
@@ -89,9 +89,9 @@ func TestProbePoolDeterminism(t *testing.T) {
 // mispredicted prefetch left unconsumed never perturbs the hit/miss
 // accounting of a later identical run.
 func TestProbePoolQuiesce(t *testing.T) {
-	cfg := shardConfig(PolicyBWAP, AdmitMostFree, 2, 2, 7)
+	cfg := poolConfig(PolicyBWAP, AdmitMostFree, 2, 7)
 	cfg.Cache = NewTuningCache(cfg.SimCfg, 0, cfg.Seed, ProbeWorkers(4))
-	f, stats := runFleet(t, cfg, shardStreams())
+	f, stats := runFleet(t, cfg, denseStreams())
 	f.Cache().Quiesce() // must be a no-op: Run already drained the pool
 	if stats.CacheMisses == 0 {
 		t.Fatal("cold run recorded no misses")
@@ -99,9 +99,9 @@ func TestProbePoolQuiesce(t *testing.T) {
 
 	// A second fleet sharing the warm cache sees only hits, exactly as a
 	// pool-less warm run would.
-	cfg2 := shardConfig(PolicyBWAP, AdmitMostFree, 2, 2, 7)
+	cfg2 := poolConfig(PolicyBWAP, AdmitMostFree, 2, 7)
 	cfg2.Cache = f.Cache()
-	_, warm := runFleet(t, cfg2, shardStreams())
+	_, warm := runFleet(t, cfg2, denseStreams())
 	if warm.CacheMisses != 0 {
 		t.Fatalf("warm run recorded %d misses; prefetching perturbed the cache", warm.CacheMisses)
 	}

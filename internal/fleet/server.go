@@ -31,7 +31,6 @@ import (
 //	GET  /status?id=N → one job
 //	GET  /jobs        → every job
 //	GET  /fleet       → Stats
-//	GET  /shards      → per-shard ShardStat slice
 //	GET  /machines    → per-machine MachineView slice
 //	POST /drain?machine=N   → gracefully evacuate machine N (409 if not up)
 //	POST /recover?machine=N → bring machine N back up (409 if already up)
@@ -240,7 +239,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/status", methods(http.MethodGet, s.handleStatus))
 	mux.HandleFunc("/jobs", methods(http.MethodGet, s.handleJobs))
 	mux.HandleFunc("/fleet", methods(http.MethodGet, s.handleFleet))
-	mux.HandleFunc("/shards", methods(http.MethodGet, s.handleShards))
 	mux.HandleFunc("/machines", methods(http.MethodGet, s.handleMachines))
 	mux.HandleFunc("/drain", methods(http.MethodPost, s.handleDrain))
 	mux.HandleFunc("/recover", methods(http.MethodPost, s.handleRecover))
@@ -399,13 +397,6 @@ func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleShards(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	stats := s.fleet.ShardStats()
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, stats)
 }
 
 func (s *Server) handleMachines(w http.ResponseWriter, _ *http.Request) {

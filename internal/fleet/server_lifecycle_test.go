@@ -12,14 +12,13 @@ import (
 	"bwap/internal/sim"
 )
 
-// newLifecycleServer boots a 2-machine, 2-shard server for the
+// newLifecycleServer boots a 2-machine, width-2 server for the
 // drain/recover endpoint tests.
 func newLifecycleServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	f, err := New(Config{
 		Machines:   2,
 		Shards:     2,
-		Workers:    2,
 		NewMachine: smallMachine,
 		SimCfg:     sim.Config{Seed: 27},
 		Policy:     PolicyBWAP,
@@ -66,7 +65,7 @@ func TestServerLifecycleEndpoints(t *testing.T) {
 	if len(views) != 2 || views[0].State != "up" || views[1].State != "up" {
 		t.Fatalf("/machines = %+v, want two up machines", views)
 	}
-	if views[1].Shard != 1 || views[1].FreeNodes != views[1].Nodes {
+	if views[1].ID != 1 || views[1].FreeNodes != views[1].Nodes {
 		t.Fatalf("machine 1 view %+v", views[1])
 	}
 

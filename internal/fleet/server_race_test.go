@@ -18,7 +18,7 @@ import (
 // fleet mid-advance, and without -race it still exercises the
 // stalled-scraper-vs-driver interleaving.
 func TestServerScrapeDuringChaosEngine(t *testing.T) {
-	cfg := chaosShardConfig(2, 2, false)
+	cfg := chaosPoolConfig(2, false)
 	var spans bytes.Buffer
 	cfg.Obs = NewObserver(ObserverConfig{SpanW: &spans})
 	f, err := New(cfg)

@@ -5,16 +5,13 @@ package fleet
 type Stats struct {
 	// Policy is the placement policy in force.
 	Policy string `json:"policy"`
-	// Routing and Admission name the job→shard tier and the node-selection
-	// policy.
-	Routing   string `json:"routing"`
+	// Admission names the node-selection policy.
 	Admission string `json:"admission"`
 	// Machines is the fleet size; MachinesUp the members currently in
-	// service; Shards the partition count; Workers the advance pool bound.
+	// service; Shards the tick pool's width (Config.Shards).
 	Machines   int `json:"machines"`
 	MachinesUp int `json:"machines_up"`
 	Shards     int `json:"shards"`
-	Workers    int `json:"workers"`
 	// SimTime is the current simulated time.
 	SimTime float64 `json:"sim_time"`
 
@@ -43,10 +40,12 @@ type Stats struct {
 	// ThroughputJobsPerSec is completed jobs per simulated second.
 	ThroughputJobsPerSec float64 `json:"throughput_jobs_per_sec"`
 	// Utilization is the busy-node-seconds fraction across the fleet.
+	// Busy time is counted in whole node-ticks, so it is the same for any
+	// pool width and any cut of the run into windows.
 	Utilization float64 `json:"utilization"`
 
 	// CacheHits/CacheMisses count this fleet's tuning-cache lookups
-	// (admissions and retunes, bwap policy only), summed over shards.
+	// (admissions and retunes, bwap policy only).
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	// CacheEvictions/CacheRestored/CacheEntries report the backing tuning
@@ -69,7 +68,7 @@ type Stats struct {
 	// AdvanceBatches counts advance windows (each sized by
 	// lookaheadWindow); AdvanceTicks is the total ticks they covered.
 	// Their ratio — the mean barrier-free window — measures how well the
-	// engine's horizon prediction amortizes the shard barrier: sharper
+	// engine's horizon prediction amortizes the window barrier: sharper
 	// horizons mean fewer, longer batches for the same tick sequence.
 	AdvanceBatches int64 `json:"advance_batches"`
 	AdvanceTicks   int64 `json:"advance_ticks"`
@@ -77,63 +76,28 @@ type Stats struct {
 	LogRecords int `json:"log_records"`
 }
 
-// ShardStat is one shard's slice of the fleet counters, serialized by the
-// daemon's /shards endpoint. All fields are maintained by the scheduler or
-// behind the per-window barrier, so a snapshot taken between Advance calls
-// is consistent.
-type ShardStat struct {
-	// Shard is the shard id; Machines the global machine ids it owns.
-	Shard    int   `json:"shard"`
-	Machines []int `json:"machines"`
-	// Nodes is the shard's total NUMA-node count.
-	Nodes int `json:"nodes"`
-	// SimTime mirrors the lockstep clock.
-	SimTime float64 `json:"sim_time"`
-	// Running/Admitted/Completed/Retunes count this shard's share of the
-	// stream.
-	Running   int `json:"running"`
-	Admitted  int `json:"admitted"`
-	Completed int `json:"completed"`
-	Retunes   int `json:"retunes"`
-	// Utilization is the shard's busy-node-seconds fraction.
-	Utilization float64 `json:"utilization"`
-	// CacheHits/CacheMisses count tuning-cache lookups attributed to this
-	// shard's admissions and retunes.
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-	// LogRecords counts merged-log lines attributed to this shard
-	// (arrive/queue records are router-level and belong to none).
-	LogRecords int `json:"log_records"`
-}
-
 // Stats computes the current snapshot.
 func (f *Fleet) Stats() *Stats {
 	s := &Stats{
 		Policy:         f.cfg.Policy,
-		Routing:        f.router.Name(),
 		Admission:      f.admission.Name(),
 		Machines:       len(f.machines),
 		MachinesUp:     f.machinesUp(),
-		Shards:         len(f.shards),
-		Workers:        f.workers,
+		Shards:         f.cfg.Shards,
 		SimTime:        f.now,
 		Jobs:           len(f.jobs),
 		Evacuations:    f.evacuations,
 		Retries:        f.retries,
 		AdvanceBatches: f.batches,
 		AdvanceTicks:   f.batchTicksSum,
+		CacheHits:      f.cacheHits,
+		CacheMisses:    f.cacheMisses,
 		LogRecords:     f.log.seq,
 	}
 	cs := f.cache.Stats()
 	s.CacheEvictions = cs.Evictions
 	s.CacheRestored = cs.Restored
 	s.CacheEntries = cs.Entries
-	busy := 0.0
-	for _, sh := range f.shards {
-		s.CacheHits += sh.cacheHits
-		s.CacheMisses += sh.cacheMisses
-		busy += sh.busyNodeSeconds
-	}
 	for _, m := range f.machines {
 		solves, replays := m.eng.FastForwardStats()
 		s.TickSolves += int64(solves)
@@ -168,34 +132,7 @@ func (f *Fleet) Stats() *Stats {
 	}
 	if f.now > 0 {
 		s.ThroughputJobsPerSec = float64(s.Completed) / f.now
-		s.Utilization = busy / (f.now * float64(f.totalNodes))
+		s.Utilization = float64(f.busyNodeTicks) * f.dt / (f.now * float64(f.totalNodes))
 	}
 	return s
-}
-
-// ShardStats snapshots every shard's counters, by shard id.
-func (f *Fleet) ShardStats() []ShardStat {
-	out := make([]ShardStat, len(f.shards))
-	for i, sh := range f.shards {
-		st := ShardStat{
-			Shard:       sh.id,
-			Nodes:       sh.nodes,
-			SimTime:     f.now,
-			Running:     sh.running(),
-			Admitted:    sh.admitted,
-			Completed:   sh.completed,
-			Retunes:     sh.retunes,
-			CacheHits:   sh.cacheHits,
-			CacheMisses: sh.cacheMisses,
-			LogRecords:  sh.records,
-		}
-		for _, m := range sh.machines {
-			st.Machines = append(st.Machines, m.id)
-		}
-		if f.now > 0 && sh.nodes > 0 {
-			st.Utilization = sh.busyNodeSeconds / (f.now * float64(sh.nodes))
-		}
-		out[i] = st
-	}
-	return out
 }

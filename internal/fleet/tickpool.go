@@ -6,59 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// shard is one slice of the fleet for routing and accounting: a fixed
-// machine set (global ids preserved, assigned round-robin by id so
-// heterogeneous fleets stay balanced) and shard-local statistics. Events,
-// the clock and the tick pool are fleet-wide.
-//
-// Concurrency contract — the window barrier every counter hides behind:
-// inside a window exactly one goroutine advances each machine (whichever
-// claimed its index from the tick pool's counter), and a machine's engine
-// is all it touches. Busy-time charging and the completion scan run on
-// the scheduler after the barrier, so every shard field is written by the
-// scheduler goroutine alone, and Stats/ShardStats — which run under the
-// server mutex, never concurrently with an Advance — read only quiescent
-// state. The -race HTTP load test and the repeated -race TestTickPool
-// runs pin this.
-type shard struct {
-	id       int
-	machines []*machine // ascending global id
-	nodes    int
-
-	busyNodeSeconds              float64
-	admitted, completed, retunes int
-	records                      int
-	cacheHits, cacheMisses       int64
-}
-
-// chargeBusy charges a k-tick window's busy-node time with the same
-// per-tick additions, in the same (tick, machine) order, as a tick-at-a-
-// time loop — occupancy is constant inside a window — so utilization
-// accounting is independent of how a span of ticks is cut into windows.
-func (s *shard) chargeBusy(k int, dt float64) {
-	for i := 0; i < k; i++ {
-		for _, m := range s.machines {
-			s.busyNodeSeconds += float64(len(m.free)-m.freeCount) * dt
-		}
-	}
-}
-
-// running counts the shard's currently placed jobs.
-func (s *shard) running() int {
-	n := 0
-	for _, m := range s.machines {
-		n += len(m.active)
-	}
-	return n
-}
-
 // collectComps gathers the jobs that completed during the window just
-// run, in (machine id, admission order) — the order a single unsharded
-// scan discovers them in, so completion events get the same sequence
-// numbers however machines are partitioned or pulled. The window sizer
-// (lookaheadWindow) keeps completions out of a window's interior; the
-// scan is a defensive backstop that surfaces a completion the horizon
-// missed one window late rather than losing it.
+// run, in (machine id, admission order), so completion events get the
+// same sequence numbers whichever goroutines advanced the machines. The
+// window sizer (lookaheadWindow) keeps completions out of a window's
+// interior; the scan is a defensive backstop that surfaces a completion
+// the horizon missed one window late rather than losing it.
 func (f *Fleet) collectComps() []*Job {
 	out := f.compScratch[:0]
 	for _, m := range f.machines {
@@ -96,13 +49,22 @@ func (f *Fleet) bumpClock(k int) {
 // burning its core.
 const pollLimit = 4096
 
-// tickPool runs each window on min(Workers, GOMAXPROCS) goroutines: the
+// tickPool runs each window on min(Shards, GOMAXPROCS) goroutines: the
 // scheduler, which calls runWindow, plus one helper per remaining slot,
 // so no goroutine polls for a core it cannot have. All of them pull
 // machine indices from one counter, so a window ends when its costliest
 // machines are done rather than its busiest static share. The pool is
 // started by the first window of a run() invocation and stopped, its
 // helpers exited, before run() returns.
+//
+// Concurrency contract — the window barrier every counter hides behind:
+// inside a window exactly one goroutine advances each machine, and a
+// machine's engine is all it touches. Busy-time charging, the clock and
+// the completion scan run on the scheduler after the barrier, so every
+// Fleet field is written by the scheduler goroutine alone, and Stats —
+// which runs under the server mutex, never concurrently with an Advance —
+// reads only quiescent state. The -race HTTP load test and the repeated
+// -race TestTickPool runs pin this.
 type tickPool struct {
 	gen  atomic.Uint64 // bumped by the scheduler to publish a window or the stop
 	next atomic.Int64  // index into f.machines of the next machine to claim
@@ -224,7 +186,7 @@ func (p *tickPool) publish() {
 // change what it computes. The scheduler publishes the window, works
 // through the counter alongside the helpers, then waits until every
 // helper has checked out: after that no machine is touched until the next
-// window. A one-worker fleet runs the window inline: a pool with no
+// window. A width-1 fleet runs the window inline: a pool with no
 // helper would only add its start, stop and atomics to every run()
 // (about 400 ns and two allocations per 1-tick Advance).
 func (f *Fleet) runWindow(k int) {
@@ -252,9 +214,11 @@ func (f *Fleet) runWindow(k int) {
 // the run loop can turn them into events. Each window is a barrier: its
 // size comes from lookaheadWindow, every machine free-runs that many
 // ticks, and only then do busy time, the clock and the completions move,
-// on the scheduler goroutine. Determinism does not depend on the worker
-// count: machines share no state, the clock advances on the scheduler
-// goroutine, and collectComps orders completions by machine id.
+// on the scheduler goroutine. Determinism does not depend on the pool's
+// width: machines share no state, the clock advances on the scheduler
+// goroutine, and collectComps orders completions by machine id. Busy time
+// is an integer count of node-ticks — occupancy is constant inside a
+// window — so it too is exact for any cut into windows.
 func (f *Fleet) advanceTo(t float64) []*Job {
 	var comps []*Job
 	for f.now+f.eps() < t {
@@ -262,8 +226,8 @@ func (f *Fleet) advanceTo(t float64) []*Job {
 		f.batches++
 		f.batchTicksSum += int64(k)
 		f.runWindow(k)
-		for _, s := range f.shards {
-			s.chargeBusy(k, f.dt)
+		for _, m := range f.machines {
+			f.busyNodeTicks += int64(k * (len(m.free) - m.freeCount))
 		}
 		f.bumpClock(k)
 		if comps = f.collectComps(); len(comps) > 0 {

@@ -24,21 +24,21 @@ func settleGoroutines(t *testing.T, want int, what string) {
 // TestTickPoolLifecycle pins that the tick pool lives inside run(): after
 // a drained Run, and after each of a sequence of small Advance calls, the
 // goroutine count is back to its value before the fleet ran. GOMAXPROCS
-// is raised to at least 4 so that Workers 4 really starts three helpers
-// (the pool is min(Workers, GOMAXPROCS) goroutines, the scheduler's own
+// is raised to at least 4 so that width 4 really starts three helpers
+// (the pool is min(Shards, GOMAXPROCS) goroutines, the scheduler's own
 // included). The stepped fleet must also write the Run fleet's log.
 func TestTickPoolLifecycle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
 	for _, workers := range []int{2, 4} {
 		before := runtime.NumGoroutine()
-		ran, _ := runFleet(t, chaosShardConfig(4, workers, false), shardStreams())
+		ran, _ := runFleet(t, chaosPoolConfig(workers, false), denseStreams())
 		settleGoroutines(t, before, fmt.Sprintf("workers=%d after Run", workers))
 
-		f, err := New(chaosShardConfig(4, workers, false))
+		f, err := New(chaosPoolConfig(workers, false))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.SubmitStream(shardStreams()); err != nil {
+		if err := f.SubmitStream(denseStreams()); err != nil {
 			t.Fatal(err)
 		}
 		for f.Now() < 30 {
@@ -57,15 +57,26 @@ func TestTickPoolLifecycle(t *testing.T) {
 	}
 }
 
-// TestTickPoolOneCore pins that a multi-worker fleet on one core neither
-// spins nor deadlocks: the pool has no helper there, and the run writes
-// the one-worker log. Not parallel: it changes GOMAXPROCS.
+// TestTickPoolOneCore pins that a wide pool on one core neither spins nor
+// deadlocks: a width-4 fleet built at GOMAXPROCS 4 and run at GOMAXPROCS
+// 1 starts a pool with no helper, and the run writes the width-1 log. Not
+// parallel: it changes GOMAXPROCS.
 func TestTickPoolOneCore(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	one, _ := runFleet(t, chaosShardConfig(4, 1, false), shardStreams())
-	four, _ := runFleet(t, chaosShardConfig(4, 4, false), shardStreams())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	four, err := New(chaosPoolConfig(4, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := four.SubmitStream(denseStreams()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GOMAXPROCS(1)
+	if _, err := four.Run(); err != nil {
+		t.Fatal(err)
+	}
+	one, _ := runFleet(t, chaosPoolConfig(1, false), denseStreams())
 	if !bytes.Equal(one.LogBytes(), four.LogBytes()) {
-		t.Fatal("Workers 4 on one core wrote a different log than Workers 1")
+		t.Fatal("width 4 on one core wrote a different log than width 1")
 	}
 }
 
@@ -83,7 +94,7 @@ func TestTickPoolOneCore(t *testing.T) {
 func BenchmarkAdvanceWindow(b *testing.B) {
 	const windowsPerFleet = 30_000
 	loaded := func(workers int) *Fleet {
-		f, err := New(shardConfig(PolicyFirstTouch, AdmitMostFree, workers, workers, 1))
+		f, err := New(poolConfig(PolicyFirstTouch, AdmitMostFree, workers, 1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -71,9 +71,9 @@ func TestTraceReplayReproducesLog(t *testing.T) {
 	}
 }
 
-// TestTraceReplayShardInvariant replays a trace into a sharded fleet: the
-// trace was recorded unsharded, and the merged log must still come out
-// bit-identical (least-loaded routing is shard-partition invariant).
+// TestTraceReplayShardInvariant replays a trace into a width-2 fleet: the
+// trace was recorded at width 1, and the log must still come out
+// bit-identical.
 func TestTraceReplayShardInvariant(t *testing.T) {
 	cfg := testConfig(PolicyFirstTouch, 19)
 	cfg.Machines = 4
@@ -83,11 +83,11 @@ func TestTraceReplayShardInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded := cfg
-	sharded.Shards, sharded.Workers = 2, 2
-	replayed, _ := runFleet(t, sharded, streams)
+	wide := cfg
+	wide.Shards = 2
+	replayed, _ := runFleet(t, wide, streams)
 	if !bytes.Equal(recorded.LogBytes(), replayed.LogBytes()) {
-		t.Fatal("sharded trace replay diverged from the unsharded recording")
+		t.Fatal("width-2 trace replay diverged from the width-1 recording")
 	}
 }
 

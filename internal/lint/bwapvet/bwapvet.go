@@ -1,8 +1,9 @@
 // Package bwapvet is a static-analysis suite that mechanically enforces
 // this repository's determinism & replay contract (DESIGN.md §13). Every
-// guarantee the fleet makes — bit-identical JSONL logs per seed,
-// shard-invariant replay, byte-identical /metrics re-ingestion — rests on
-// coding rules that used to be enforced by review alone:
+// guarantee the fleet makes — bit-identical JSONL logs per seed, replay
+// invariant over the tick pool's width, byte-identical /metrics
+// re-ingestion — rests on coding rules that used to be enforced by review
+// alone:
 //
 //   - walltime:    no wall clock (time.Now & friends) in simulated paths;
 //   - seededrand:  no math/rand v1 and no ad-hoc RNG construction — streams

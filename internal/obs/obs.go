@@ -5,7 +5,7 @@
 // Nothing in this package reads the wall clock, allocates on the update
 // path, or iterates a map where order could leak into output — so any
 // metric fed exclusively from a deterministic event stream renders to
-// byte-identical text for the same seed, shard count and worker count.
+// byte-identical text for the same seed at any tick-pool width.
 // The fleet exploits this for its replayable /metrics surface: updates
 // are driven off the merged event log (itself bit-reproducible), and the
 // exposition walks families and series in registration order.

@@ -1101,7 +1101,7 @@ func (e *Engine) CompletionHorizonTicks(limit int) int {
 // terminates. Workloads whose demand peaks late (e.g. a 3× compaction
 // phase at 90% progress) thus get horizons sized by the phases actually
 // reachable, not by the lifetime peak — wider free-run windows and fewer
-// shard-barrier entries for the same, unchanged, per-tick state sequence.
+// window barriers for the same, unchanged, per-tick state sequence.
 func (e *Engine) appCompletionHorizon(a *App, limit int) int {
 	dt := e.Cfg.DT
 	eta := a.Spec.ParallelEfficiency(len(a.Workers))
