@@ -502,15 +502,51 @@ func TestBackfillPassesBlockedHead(t *testing.T) {
 // pending + queued + retry-wait + running + completed + failed, counters
 // consistent — and so must work conservation (no queued job fits on an up
 // machine); every job must reach a terminal state in the end. Runs with
-// fast-forward on and off and demands bit-identical logs.
+// fast-forward on and off and demands bit-identical logs. It runs two
+// streams: denseStreams, and headOfLineStreams, whose 1-node jobs queue
+// behind jobs that need most of a machine, so work conservation fails at
+// a barrier if backfill stops at the first queued job that does not fit.
 func TestConservationUnderChaos(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		streams []StreamSpec
+	}{
+		{"dense", denseStreams()},
+		{"head-of-line", headOfLineStreams()},
+	} {
+		t.Run(c.name, func(t *testing.T) { checkConservationUnderChaos(t, c.streams) })
+	}
+}
+
+// headOfLineStreams mixes jobs that need three of a machine's four nodes
+// with 1-node jobs that arrive while the wide ones hold the fleet: once
+// no machine has three nodes free, a wide job heads the queue and the
+// narrow jobs behind it still fit on the machines' last free nodes.
+func headOfLineStreams() []StreamSpec {
+	return []StreamSpec{
+		{
+			Workload: testSpec("wide"),
+			Arrival:  workload.ArrivalSpec{Process: workload.Periodic, Rate: 4, Count: 14},
+			Workers:  3, WorkScale: 0.3,
+		},
+		{
+			Workload: testSpec("narrow"),
+			Arrival:  workload.ArrivalSpec{Process: workload.Periodic, Rate: 2, Start: 3.6, Count: 8},
+			Workers:  1, WorkScale: 0.05,
+		},
+	}
+}
+
+// checkConservationUnderChaos runs one stream set of
+// TestConservationUnderChaos.
+func checkConservationUnderChaos(t *testing.T, streams []StreamSpec) {
 	var logs [][]byte
 	for _, disableFF := range []bool{true, false} {
 		f, err := New(chaosPoolConfig(2, disableFF))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.SubmitStream(denseStreams()); err != nil {
+		if err := f.SubmitStream(streams); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Conservation(); err != nil {

@@ -175,11 +175,18 @@ type Solver struct {
 	streams  []int
 	load     []int32
 
-	// Per-flow scratch, grown on demand and reused.
-	pathBuf   []int32 // concatenated resource lists
-	pathOff   []int32 // pathBuf offsets; flow i's path is pathBuf[pathOff[i]:pathOff[i+1]]
-	remaining []float64
-	activeIdx []int32 // indices of unfrozen flows, ascending
+	// The machine's routes as resource lists, built at the first fill in
+	// one backing array: routeOf(p) for the pair p = src·N + dst, and
+	// pairsThrough(r) for the pairs whose route uses resource r.
+	routeOff, routeRes, throughOff, throughPairs []int32
+
+	// Per-flow and per-pair scratch, grown on demand and reused.
+	byDemand  []demandRef // the active flows, ascending by demand
+	frozen    []bool      // per flow
+	pairOff   []int32     // pair p's active flows are pairFlows[pairOff[p]:pairOff[p+1]]
+	pairFlows []int32
+	loaded    []int32   // resources with an active flow through them, ascending
+	incs      []float64 // the increment of every round so far
 
 	res Result
 	// epoch counts Solve calls, so a caller holding the returned *Result
@@ -208,6 +215,13 @@ type memoEntry struct {
 	// out holds Rates, ControllerUtil, IngestUtil, LinkUtil and
 	// NodeOutGBs back to back; nil marks an unused slot.
 	out []float64
+}
+
+// demandRef is an active flow: its demand (the key fill sorts by), its
+// index and its pair.
+type demandRef struct {
+	d    float64
+	i, p int32
 }
 
 // sameInput reports whether two flows agree on every field Solve reads:
@@ -244,11 +258,6 @@ func (s *System) NewSolver() *Solver {
 			NodeOutGBs:     f,
 		},
 	}
-}
-
-// path returns flow i's resource list.
-func (sv *Solver) path(i int32) []int32 {
-	return sv.pathBuf[sv.pathOff[i]:sv.pathOff[i+1]]
 }
 
 // Epoch returns the number of Solve calls performed on this solver. The
@@ -355,6 +364,27 @@ func (sv *Solver) remember(h uint64, flows []Flow) {
 }
 
 // fill runs progressive filling into the solver's result buffers.
+//
+// Every round, each active flow takes the same increment: the least of
+// every loaded resource's capacity/load and every active flow's remaining
+// demand. A flow freezes once its demand is met (remaining ≤ eps) or a
+// resource on its route saturates (capacity ≤ eps). fill repeats every
+// floating-point operation of that loop the outputs depend on, but a
+// round costs O(loaded resources + active flows), and a flow's route is
+// read only when it freezes (DESIGN §9):
+//
+//   - the loaded resources are kept in ascending index order, so the
+//     capacity/load minimum compares the same values in the same order;
+//   - every active flow has taken every increment so far, and
+//     x ↦ fl(x − inc) is monotone, so remaining demands keep the order of
+//     the demands: the smallest is the first active flow's in byDemand,
+//     and the flows a round satisfies are a prefix of it;
+//   - a flow's rate is the running sum of the increments up to the round
+//     it froze in;
+//   - a loaded resource loses the increment once per active flow through
+//     it, and its load counts exactly those flows;
+//   - a saturated resource freezes the active flows of every pair through
+//     it.
 func (sv *Solver) fill(flows []Flow) *Result {
 	s := sv.sys
 	n := s.m.NumNodes()
@@ -390,94 +420,238 @@ func (sv *Solver) fill(flows []Flow) *Result {
 	initial := sv.initial
 	copy(initial, capacity)
 
-	// Per-flow resource lists (flat) and the active-flow index list.
-	sv.pathOff = grow(sv.pathOff, len(flows)+1)
-	sv.remaining = grow(sv.remaining, len(flows))
-	sv.activeIdx = sv.activeIdx[:0]
-	sv.pathBuf = sv.pathBuf[:0]
-	sv.pathOff[0] = 0
+	// The active flows, counted by pair.
+	if sv.routeOff == nil {
+		sv.buildRoutes()
+	}
+	pairs := n * n
+	pairOff := grow(sv.pairOff, pairs+1)
+	for p := range pairOff {
+		pairOff[p] = 0
+	}
+	sv.frozen = grow(sv.frozen, len(flows))
+	byDemand := grow(sv.byDemand, len(flows))[:0]
 	for i, f := range flows {
+		sv.frozen[i] = false
 		if f.Demand > 0 {
-			sv.pathBuf = append(sv.pathBuf, int32(f.Src), int32(n+int(f.Dst)))
-			for _, l := range s.m.Route(f.Src, f.Dst) {
-				sv.pathBuf = append(sv.pathBuf, int32(2*n+int(l)))
-			}
-			sv.remaining[i] = f.Demand
-			sv.activeIdx = append(sv.activeIdx, int32(i))
+			p := int32(int(f.Src)*n + int(f.Dst))
+			pairOff[p]++
+			byDemand = append(byDemand, demandRef{f.Demand, int32(i), p})
 		}
-		sv.pathOff[i+1] = int32(len(sv.pathBuf))
+	}
+	sv.byDemand = byDemand
+	if len(byDemand) == 0 {
+		return sv.utilization(flows)
 	}
 
-	// Progressive filling. The per-resource active-flow counts (load) are
-	// maintained incrementally: initialized once, decremented along a
-	// flow's path when it freezes — no per-round rescan of the flow set.
+	// Each resource's load (the active flows through it), each pair's
+	// flow list, and the loaded resources.
 	load := sv.load
 	for r := range load {
 		load[r] = 0
 	}
-	for _, i := range sv.activeIdx {
-		for _, r := range sv.path(i) {
-			load[r]++
+	end := int32(0)
+	for p, k := range pairOff[:pairs] {
+		if k > 0 {
+			for _, r := range sv.routeOf(int32(p)) {
+				load[r] += k
+			}
+		}
+		end += k
+		pairOff[p] = end
+	}
+	pairOff[pairs] = end
+	pairFlows := grow(sv.pairFlows, int(end))
+	for _, f := range byDemand {
+		pairOff[f.p]--
+		pairFlows[pairOff[f.p]] = f.i
+	}
+	sv.pairOff, sv.pairFlows = pairOff, pairFlows
+	loaded := grow(sv.loaded, len(load))[:0]
+	for r, k := range load {
+		if k > 0 {
+			loaded = append(loaded, int32(r))
 		}
 	}
+	sortByDemand(byDemand)
+
 	const eps = 1e-9
-	for len(sv.activeIdx) > 0 {
+	active := len(byDemand)
+	front := 0                        // byDemand index of the first active flow
+	frontRem := byDemand[0].d         // its remaining demand
+	total := 0.0                      // the rate every active flow has reached
+	incs := grow(sv.incs, active)[:0] // every round but the last freezes a flow
+	for {
 		// The uniform increment every active flow can take.
+		// Resources the last round's freezes unloaded leave the list.
 		inc := math.Inf(1)
-		for r, k := range load {
-			if k > 0 {
-				if share := capacity[r] / float64(k); share < inc {
-					inc = share
-				}
+		kept := loaded[:0]
+		for _, r := range loaded {
+			if load[r] == 0 {
+				continue
+			}
+			kept = append(kept, r)
+			if share := capacity[r] / float64(load[r]); share < inc {
+				inc = share
 			}
 		}
-		for _, i := range sv.activeIdx {
-			if sv.remaining[i] < inc {
-				inc = sv.remaining[i]
-			}
+		loaded = kept
+		if frontRem < inc {
+			inc = frontRem
 		}
 		if inc < 0 {
 			inc = 0
 		}
 		// Apply the increment.
-		for _, i := range sv.activeIdx {
-			res.Rates[i] += inc
-			sv.remaining[i] -= inc
-			for _, r := range sv.path(i) {
-				capacity[r] -= inc
+		total += inc
+		frontRem -= inc
+		incs = append(incs, inc)
+		saturated := false
+		for _, r := range loaded {
+			c := capacity[r]
+			for k := load[r]; k > 0; k-- {
+				c -= inc
 			}
+			capacity[r] = c
+			saturated = saturated || c <= eps
 		}
-		// Freeze satisfied flows and flows on saturated resources,
-		// compacting the active list in place (order is preserved).
-		kept := sv.activeIdx[:0]
-		for _, i := range sv.activeIdx {
-			frozen := sv.remaining[i] <= eps
-			if !frozen {
-				for _, r := range sv.path(i) {
-					if capacity[r] <= eps {
-						frozen = true
-						break
+		// Freeze the flows on saturated resources, then satisfied flows.
+		before := active
+		if saturated {
+			for _, r := range loaded {
+				if capacity[r] > eps {
+					continue
+				}
+				for _, p := range sv.pairsThrough(r) {
+					for _, i := range pairFlows[pairOff[p]:pairOff[p+1]] {
+						if !sv.frozen[i] {
+							sv.freeze(i, p, total)
+							active--
+						}
 					}
 				}
 			}
-			if frozen {
-				for _, r := range sv.path(i) {
-					load[r]--
-				}
-			} else {
-				kept = append(kept, i)
-			}
 		}
-		if len(kept) == len(sv.activeIdx) {
-			// Defensive: cannot happen (inc always exhausts a demand or a
-			// resource), but never loop forever on numerical corner cases.
-			sv.activeIdx = kept
+		for active > 0 {
+			f := byDemand[front]
+			if sv.frozen[f.i] {
+				front++
+				if next := byDemand[front]; next.d != f.d {
+					frontRem = next.d
+					for _, x := range incs {
+						frontRem -= x
+					}
+				}
+				continue
+			}
+			if frontRem > eps {
+				break
+			}
+			sv.freeze(f.i, f.p, total)
+			active--
+		}
+		if active == 0 {
 			break
 		}
-		sv.activeIdx = kept
+		if active == before {
+			// Defensive: cannot happen (inc always exhausts a demand or a
+			// resource), but never loop forever on numerical corner cases.
+			for _, f := range byDemand[front:] {
+				if !sv.frozen[f.i] {
+					res.Rates[f.i] = total
+				}
+			}
+			break
+		}
 	}
+	sv.loaded, sv.incs = loaded, incs
+	return sv.utilization(flows)
+}
 
-	// Utilizations and per-node outbound counters.
+// freeze fixes the rate of flow i, on pair p, and takes it off the loads
+// of the resources on its route.
+func (sv *Solver) freeze(i, p int32, rate float64) {
+	sv.frozen[i] = true
+	sv.res.Rates[i] = rate
+	for _, r := range sv.routeOf(p) {
+		sv.load[r]--
+	}
+}
+
+// buildRoutes lists each pair's resources — the source controller, the
+// destination's ingest cap, then the links of its route — and the pairs
+// through each resource, all in one backing array.
+func (sv *Solver) buildRoutes() {
+	m := sv.sys.m
+	n := m.NumNodes()
+	pairs, rc := n*n, len(sv.load)
+	size := 0
+	for p := 0; p < pairs; p++ {
+		size += 2 + len(m.Route(topology.NodeID(p/n), topology.NodeID(p%n)))
+	}
+	slab := make([]int32, pairs+1+size+rc+1+size)
+	sv.routeOff, slab = slab[:pairs+1], slab[pairs+1:]
+	sv.routeRes, slab = slab[:0:size], slab[size:]
+	sv.throughOff, sv.throughPairs = slab[:rc+1], slab[rc+1:]
+	for p := 0; p < pairs; p++ {
+		src, dst := topology.NodeID(p/n), topology.NodeID(p%n)
+		sv.routeRes = append(sv.routeRes, int32(src), int32(n+int(dst)))
+		for _, l := range m.Route(src, dst) {
+			sv.routeRes = append(sv.routeRes, int32(2*n+int(l)))
+		}
+		sv.routeOff[p+1] = int32(len(sv.routeRes))
+	}
+	// Count each resource's pairs, turn the counts into end offsets, then
+	// fill each list back to front.
+	off := sv.throughOff
+	for _, r := range sv.routeRes {
+		off[r]++
+	}
+	end := int32(0)
+	for r := 0; r < rc; r++ {
+		end += off[r]
+		off[r] = end
+	}
+	off[rc] = end
+	for p := int32(0); p < int32(pairs); p++ {
+		for _, r := range sv.routeOf(p) {
+			off[r]--
+			sv.throughPairs[off[r]] = p
+		}
+	}
+}
+
+// routeOf returns pair p's resources.
+func (sv *Solver) routeOf(p int32) []int32 {
+	return sv.routeRes[sv.routeOff[p]:sv.routeOff[p+1]]
+}
+
+// pairsThrough returns the pairs whose route uses resource r.
+func (sv *Solver) pairsThrough(r int32) []int32 {
+	return sv.throughPairs[sv.throughOff[r]:sv.throughOff[r+1]]
+}
+
+// sortByDemand sorts the active flows by ascending demand: a Shell sort
+// with Ciura's gaps, whose compares inline.
+func sortByDemand(s []demandRef) {
+	for _, h := range [...]int{701, 301, 132, 57, 23, 10, 4, 1} {
+		for i := h; i < len(s); i++ {
+			x := s[i]
+			j := i
+			for ; j >= h && x.d < s[j-h].d; j -= h {
+				s[j] = s[j-h]
+			}
+			s[j] = x
+		}
+	}
+}
+
+// utilization fills the per-node outbound counters and the utilizations
+// from the rates and the capacities the filling left.
+func (sv *Solver) utilization(flows []Flow) *Result {
+	n := sv.sys.m.NumNodes()
+	res := &sv.res
+	capacity, initial := sv.capacity, sv.initial
 	for i, f := range flows {
 		if res.Rates[i] > 0 {
 			res.NodeOutGBs[f.Src] += res.Rates[i]
@@ -491,7 +665,7 @@ func (sv *Solver) fill(flows []Flow) *Result {
 			res.IngestUtil[i] = (initial[n+i] - capacity[n+i]) / initial[n+i]
 		}
 	}
-	for l := 0; l < s.m.NumLinks(); l++ {
+	for l := 0; l < sv.sys.m.NumLinks(); l++ {
 		r := 2*n + l
 		if initial[r] > 0 {
 			res.LinkUtil[l] = (initial[r] - capacity[r]) / initial[r]
@@ -519,18 +693,24 @@ func zero(s []float64) {
 // PairwiseBW measures the single-stream bandwidth from src to dst — the
 // procedure behind Figure 1a: one saturating flow, nothing else running.
 func (s *System) PairwiseBW(src, dst topology.NodeID) float64 {
-	r := s.Solve([]Flow{{Src: src, Dst: dst, Demand: 1e6}})
-	return r.Rates[0]
+	return pairwiseBW(s.NewSolver(), src, dst)
+}
+
+// pairwiseBW is PairwiseBW on a given solver.
+func pairwiseBW(sv *Solver, src, dst topology.NodeID) float64 {
+	return sv.Solve([]Flow{{Src: src, Dst: dst, Demand: 1e6}}).Rates[0]
 }
 
 // MeasuredMatrix returns the full pairwise single-stream bandwidth matrix.
+// One solver measures every pair, so its route lists are built once.
 func (s *System) MeasuredMatrix() [][]float64 {
 	n := s.m.NumNodes()
+	sv := s.NewSolver()
 	out := make([][]float64, n)
 	for src := 0; src < n; src++ {
 		out[src] = make([]float64, n)
 		for dst := 0; dst < n; dst++ {
-			out[src][dst] = s.PairwiseBW(topology.NodeID(src), topology.NodeID(dst))
+			out[src][dst] = pairwiseBW(sv, topology.NodeID(src), topology.NodeID(dst))
 		}
 	}
 	return out

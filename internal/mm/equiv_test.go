@@ -422,6 +422,39 @@ func TestMigrateTowardEditsMidRunList(t *testing.T) {
 	}
 }
 
+// TestMigrateTowardAllocationFree pins MigrateToward's reusable scratch:
+// on a segment whose run count does not change — 120 short runs on nodes 2
+// and 3 that already hold their share, then one run on node 1 and one on
+// node 0, which donates the head of its run to node 1 eight pages a call —
+// a warmed call allocates nothing.
+func TestMigrateTowardAllocationFree(t *testing.T) {
+	const numNodes, pageCount = 4, 4000
+	s := NewAddressSpace(numNodes).AddSegment("m", pageCount*PageSize, SharedOwner)
+	for p := 0; p < pageCount; p++ {
+		n := topology.NodeID(0)
+		switch {
+		case p < 1200:
+			n = topology.NodeID(2 + (p/10)%2)
+		case p < 2000:
+			n = 1
+		}
+		s.Fault(p, n)
+	}
+	target := []float64{0.35, 0.35, 0.15, 0.15}
+	runs := s.Runs()
+	avg := testing.AllocsPerRun(50, func() {
+		if moved, err := s.MigrateToward(target, 8*PageSize); err != nil || moved != 8*PageSize {
+			t.Fatalf("moved %d bytes (%v), want 8 pages", moved, err)
+		}
+	})
+	if s.Runs() != runs {
+		t.Fatalf("run count moved from %d to %d", runs, s.Runs())
+	}
+	if avg != 0 {
+		t.Fatalf("warmed MigrateToward allocates %.2f objects/op, want 0", avg)
+	}
+}
+
 // TestMigrateTowardFullySatisfiesWithBudget confirms convergence matches
 // the per-page implementation's end state when the budget is unbounded.
 func TestMigrateTowardFullySatisfiesWithBudget(t *testing.T) {

@@ -563,6 +563,9 @@ type Segment struct {
 	pageCount int
 	runs      []run
 	runsAlt   []run // scratch for rebuilds, swapped with runs
+	// deficit and edits are MigrateToward's scratch, reused across calls.
+	deficit []int64
+	edits   []migrateEdit
 	// counts[n] is the number of pages currently on node n, maintained
 	// incrementally by every placement operation.
 	counts []int64
@@ -1042,7 +1045,10 @@ func (s *Segment) MigrateToward(target []float64, maxBytes int64) (int64, error)
 		return 0, nil
 	}
 	// Deficit (in pages) per node: positive = wants pages.
-	deficit := make([]int64, s.as.numNodes)
+	if s.deficit == nil {
+		s.deficit = make([]int64, s.as.numNodes)
+	}
+	deficit := s.deficit
 	for n := range deficit {
 		want := int64(target[n] * float64(s.mapped))
 		deficit[n] = want - s.counts[n]
@@ -1081,7 +1087,7 @@ func (s *Segment) MigrateToward(target []float64, maxBytes int64) (int64, error)
 		}
 		return q
 	}
-	var edits []migrateEdit
+	edits := s.edits[:0]
 	moved := int64(0)
 scan:
 	for j := 0; j < len(s.runs) && budget > 0; j++ {
@@ -1136,6 +1142,7 @@ scan:
 			moved++
 		}
 	}
+	s.edits = edits
 	if moved == 0 {
 		return 0, nil
 	}
@@ -1154,9 +1161,16 @@ scan:
 // one run early and absorbs the suffix's first run when it continues the
 // span's last, so both joins merge exactly as appendRun over the whole
 // slice would and the runs stay maximal.
+//
+// Every run of the span yields at most one run per edit clipped into it,
+// one per gap before such an edit and one for its tail; an edit is clipped
+// into each run it crosses. The scratch is sized to that bound up front.
 func (s *Segment) applyEdits(edits []migrateEdit) {
 	first := max(s.runIndex(edits[0].lo)-1, 0)
 	last := s.runIndex(edits[len(edits)-1].hi - 1)
+	if bound := 3*(last-first+1) + 2*len(edits); cap(s.runsAlt) < bound {
+		s.runsAlt = make([]run, 0, bound)
+	}
 	span := s.runsAlt[:0]
 	e := 0
 	for j := first; j <= last; j++ {

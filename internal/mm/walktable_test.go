@@ -7,17 +7,22 @@ import (
 	"testing"
 )
 
-// TestWalkTableSharedBinds binds one weight vector from many goroutines
+// TestWalkTableSharedBinds binds two weight vectors from many goroutines
 // through one table, each in its own address space with two segments of
 // different sizes — the second bind reuses the address space's walk and
 // copies only the checkpoints it lacks — and demands that every segment
-// places its pages exactly as a private-walk bind does. Under -race it
-// also checks that the table's extensions and copies are synchronized.
+// places its pages exactly as a private-walk bind does. The vectors hold
+// the same positive weights with their zeros in different places, so the
+// table must hold one walk for both. Under -race it also checks that the
+// table's extensions and copies are synchronized.
 func TestWalkTableSharedBinds(t *testing.T) {
 	const numNodes = 8
 	// Irregular weights: with a period dividing walkStride, every
 	// checkpoint would hold the same credit and hide a misplaced copy.
-	w := []float64{0.31, 0, 0.17, 0.05, 0.13, 0, 0.27, 0.07}
+	vectors := [][]float64{
+		{0.31, 0, 0.17, 0.05, 0.13, 0, 0.27, 0.07},
+		{0.31, 0.17, 0, 0.05, 0.13, 0.27, 0, 0.07},
+	}
 	sizes := []int{1, walkStride - 1, walkStride, walkStride + 1, 3*walkStride + 17, 7 * walkStride, 2*walkStride + 5, 5*walkStride + 4095}
 	table := NewWalkTable()
 	segs := make([][2]*Segment, 2*len(sizes))
@@ -27,6 +32,7 @@ func TestWalkTableSharedBinds(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			w := vectors[i%len(vectors)]
 			as := NewAddressSpace(numNodes)
 			for j, pages := range []int{sizes[i%len(sizes)], sizes[(i+3)%len(sizes)]} {
 				s := as.AddSegment(fmt.Sprint(j), uint64(pages)*PageSize, SharedOwner)
@@ -45,7 +51,7 @@ func TestWalkTableSharedBinds(t *testing.T) {
 		}
 		for _, s := range pair {
 			private := NewAddressSpace(numNodes).AddSegment("p", s.Length(), SharedOwner)
-			if err := private.MbindWeighted(w, MoveFlag); err != nil {
+			if err := private.MbindWeighted(vectors[i%len(vectors)], MoveFlag); err != nil {
 				t.Fatal(err)
 			}
 			if got, want := s.Counts(), private.Counts(); !slices.Equal(got, want) {
@@ -59,7 +65,7 @@ func TestWalkTableSharedBinds(t *testing.T) {
 		}
 	}
 	if len(table.walks) != 1 {
-		t.Fatalf("table holds %d walks for one weight vector", len(table.walks))
+		t.Fatalf("table holds %d walks for one set of positive weights", len(table.walks))
 	}
 	for _, e := range table.walks {
 		if want := (slices.Max(sizes)/walkStride + 1) * len(e.wk.w); len(e.wk.cpCredit) != want {
