@@ -90,6 +90,9 @@ type Fig1b struct {
 // search.HillClimbMulti merges them. Every evaluation binds through one
 // walk table, so a weight vector any climb has visited — the two starts
 // and their neighbours recur across benchmarks — is walked once per call.
+// Each climb hands the table the points of a step before evaluating them
+// (mm.WalkTable.Prepare), so the vectors it lacks are walked four at a
+// time to the benchmark's largest segment.
 func RunFig1b(p *Profile) (*Fig1b, error) {
 	workers, err := p.Workers(2)
 	if err != nil {
@@ -122,7 +125,9 @@ func RunFig1b(p *Profile) (*Fig1b, error) {
 			}
 			return t
 		}
-		r, err := search.HillClimbWeights(objective, starts[i%len(starts)], 0.10, perStart)
+		pages := largestSegmentPages(spec)
+		prepare := func(points [][]float64) { walks.Prepare(points, pages) }
+		r, err := search.HillClimbWeights(objective, prepare, starts[i%len(starts)], 0.10, perStart)
 		climbs[i] = r
 		return err
 	})
@@ -163,6 +168,13 @@ func (p *Profile) staticWeightedTime(spec workload.Spec, workers []topology.Node
 		return 0, fmt.Errorf("experiments: static-weighted %s timed out", spec.Name)
 	}
 	return res.Times[spec.Name], nil
+}
+
+// largestSegmentPages is the page count of spec's largest segment, shared
+// or private, as sim.Engine.AddApp maps them.
+func largestSegmentPages(spec workload.Spec) int {
+	gb := max(spec.SharedGB, spec.PrivateGBPerNode)
+	return int((uint64(gb*float64(1<<30)) + mm.PageSize - 1) / mm.PageSize)
 }
 
 // nodeInts converts node ids to plain ints for search.UniformOver.

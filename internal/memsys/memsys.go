@@ -24,6 +24,7 @@ package memsys
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"bwap/internal/topology"
 )
@@ -346,7 +347,8 @@ func (sv *Solver) recall(e *memoEntry) *Result {
 }
 
 // remember stores the solve just filled in the oldest ring slot, reusing
-// that slot's buffers.
+// that slot's buffers; a slot too small for this solve grows once, to its
+// whole size.
 func (sv *Solver) remember(h uint64, flows []Flow) {
 	if sv.memo == nil {
 		sv.memo = new([memoSize]memoEntry)
@@ -356,7 +358,9 @@ func (sv *Solver) remember(h uint64, flows []Flow) {
 	e.hash = h
 	e.flows = append(e.flows[:0], flows...)
 	res := &sv.res
-	e.out = append(e.out[:0], res.Rates...)
+	n := len(res.Rates) + len(res.ControllerUtil) + len(res.IngestUtil) + len(res.LinkUtil) + len(res.NodeOutGBs)
+	e.out = slices.Grow(e.out[:0], n)
+	e.out = append(e.out, res.Rates...)
 	e.out = append(e.out, res.ControllerUtil...)
 	e.out = append(e.out, res.IngestUtil...)
 	e.out = append(e.out, res.LinkUtil...)

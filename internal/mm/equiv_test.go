@@ -3,6 +3,7 @@ package mm
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"bwap/internal/topology"
@@ -426,32 +427,52 @@ func TestMigrateTowardEditsMidRunList(t *testing.T) {
 // on a segment whose run count does not change — 120 short runs on nodes 2
 // and 3 that already hold their share, then one run on node 1 and one on
 // node 0, which donates the head of its run to node 1 eight pages a call —
-// a warmed call allocates nothing.
+// a warmed call allocates nothing. The scratch belongs to the address
+// space, so a second segment of it allocates nothing from its first call.
 func TestMigrateTowardAllocationFree(t *testing.T) {
 	const numNodes, pageCount = 4, 4000
-	s := NewAddressSpace(numNodes).AddSegment("m", pageCount*PageSize, SharedOwner)
-	for p := 0; p < pageCount; p++ {
-		n := topology.NodeID(0)
-		switch {
-		case p < 1200:
-			n = topology.NodeID(2 + (p/10)%2)
-		case p < 2000:
-			n = 1
+	as := NewAddressSpace(numNodes)
+	build := func(name string) *Segment {
+		s := as.AddSegment(name, pageCount*PageSize, SharedOwner)
+		for p := 0; p < pageCount; p++ {
+			n := topology.NodeID(0)
+			switch {
+			case p < 1200:
+				n = topology.NodeID(2 + (p/10)%2)
+			case p < 2000:
+				n = 1
+			}
+			s.Fault(p, n)
 		}
-		s.Fault(p, n)
+		return s
 	}
 	target := []float64{0.35, 0.35, 0.15, 0.15}
-	runs := s.Runs()
-	avg := testing.AllocsPerRun(50, func() {
+	migrate := func(s *Segment) {
 		if moved, err := s.MigrateToward(target, 8*PageSize); err != nil || moved != 8*PageSize {
-			t.Fatalf("moved %d bytes (%v), want 8 pages", moved, err)
+			t.Fatalf("%s: moved %d bytes (%v), want 8 pages", s.Name(), moved, err)
 		}
-	})
+	}
+	s := build("m")
+	runs := s.Runs()
+	avg := testing.AllocsPerRun(50, func() { migrate(s) })
 	if s.Runs() != runs {
 		t.Fatalf("run count moved from %d to %d", runs, s.Runs())
 	}
 	if avg != 0 {
 		t.Fatalf("warmed MigrateToward allocates %.2f objects/op, want 0", avg)
+	}
+
+	second := build("m2")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	migrate(second)
+	runtime.ReadMemStats(&after)
+	if second.Runs() != runs {
+		t.Fatalf("second segment: run count moved from %d to %d", runs, second.Runs())
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("first MigrateToward of a second segment allocates %d objects, want 0", n)
 	}
 }
 

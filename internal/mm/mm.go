@@ -563,9 +563,6 @@ type Segment struct {
 	pageCount int
 	runs      []run
 	runsAlt   []run // scratch for rebuilds, swapped with runs
-	// deficit and edits are MigrateToward's scratch, reused across calls.
-	deficit []int64
-	edits   []migrateEdit
 	// counts[n] is the number of pages currently on node n, maintained
 	// incrementally by every placement operation.
 	counts []int64
@@ -608,6 +605,10 @@ type AddressSpace struct {
 	// one with equal weights (an app's segments under one weight vector).
 	// A bind through a WalkTable copies its missing checkpoints into it.
 	lastWalk *walk
+	// deficit and edits are MigrateToward's scratch, reused across calls
+	// and shared by the segments, so an app's segments grow one chain.
+	deficit []int64
+	edits   []migrateEdit
 }
 
 // NewAddressSpace returns an empty address space for a machine with
@@ -992,25 +993,9 @@ func (s *Segment) MbindWeightedShared(weights []float64, flags Flags, walks *Wal
 	if len(weights) != s.as.numNodes {
 		return fmt.Errorf("mm: %s: %d weights for %d nodes", s.name, len(weights), s.as.numNodes)
 	}
-	sum := 0.0
-	for i, w := range weights {
-		if math.IsNaN(w) || math.IsInf(w, 0) {
-			return fmt.Errorf("mm: %s: non-finite weight %v for node %d", s.name, w, i)
-		}
-		if w < 0 {
-			return fmt.Errorf("mm: %s: negative weight %f for node %d", s.name, w, i)
-		}
-		sum += w
-	}
-	if sum <= 0 {
-		return fmt.Errorf("mm: %s: weights sum to zero", s.name)
-	}
-	if math.IsInf(sum, 1) {
-		return fmt.Errorf("mm: %s: weights sum overflows", s.name)
-	}
-	norm := make([]float64, len(weights))
-	for i, w := range weights {
-		norm[i] = w / sum
+	norm, err := normalize(weights)
+	if err != nil {
+		return fmt.Errorf("mm: %s: %w", s.name, err)
 	}
 	wk := s.as.lastWalk
 	if wk == nil || !slices.Equal(wk.weights, norm) {
@@ -1022,6 +1007,32 @@ func (s *Segment) MbindWeightedShared(weights []float64, flags Flags, walks *Wal
 	}
 	s.replaceRange(0, s.pageCount, pattern{kind: patWeighted, walk: wk}, flags&MoveFlag != 0)
 	return nil
+}
+
+// normalize returns weights divided by their sum, the vector a weighted
+// bind walks, or why they cannot be bound.
+func normalize(weights []float64) ([]float64, error) {
+	sum := 0.0
+	for i, w := range weights {
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("non-finite weight %v for node %d", w, i)
+		}
+		if w < 0 {
+			return nil, fmt.Errorf("negative weight %f for node %d", w, i)
+		}
+		sum += w
+	}
+	if sum <= 0 {
+		return nil, fmt.Errorf("weights sum to zero")
+	}
+	if math.IsInf(sum, 1) {
+		return nil, fmt.Errorf("weights sum overflows")
+	}
+	norm := make([]float64, len(weights))
+	for i, w := range weights {
+		norm[i] = w / sum
+	}
+	return norm, nil
 }
 
 // migrateEdit is one contiguous block of pages MigrateToward re-homes.
@@ -1045,10 +1056,10 @@ func (s *Segment) MigrateToward(target []float64, maxBytes int64) (int64, error)
 		return 0, nil
 	}
 	// Deficit (in pages) per node: positive = wants pages.
-	if s.deficit == nil {
-		s.deficit = make([]int64, s.as.numNodes)
+	if s.as.deficit == nil {
+		s.as.deficit = make([]int64, s.as.numNodes)
 	}
-	deficit := s.deficit
+	deficit := s.as.deficit
 	for n := range deficit {
 		want := int64(target[n] * float64(s.mapped))
 		deficit[n] = want - s.counts[n]
@@ -1087,7 +1098,7 @@ func (s *Segment) MigrateToward(target []float64, maxBytes int64) (int64, error)
 		}
 		return q
 	}
-	edits := s.edits[:0]
+	edits := s.as.edits[:0]
 	moved := int64(0)
 scan:
 	for j := 0; j < len(s.runs) && budget > 0; j++ {
@@ -1142,7 +1153,7 @@ scan:
 			moved++
 		}
 	}
-	s.edits = edits
+	s.as.edits = edits
 	if moved == 0 {
 		return 0, nil
 	}

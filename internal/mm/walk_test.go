@@ -178,10 +178,146 @@ func FuzzWalkSteps(f *testing.F) {
 	})
 }
 
+// batchPaths returns the stepBatch paths this machine can run: the
+// fallback, and the AVX2 kernel where the CPU has it.
+func batchPaths() []bool {
+	if hasAVX2() {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// checkBatchChunks walks up to four raw weight vectors, normalized as
+// checkWalkChunks normalizes them, through stepBatch on each path of
+// batchPaths and through referenceSteps, from every credit at start, chunk
+// by chunk, and fails on the first chunk after which a credit bit or a
+// count of any walk differs.
+func checkBatchChunks(t *testing.T, name string, raws [][]float64, start float64, chunks []int) {
+	t.Helper()
+	defer func(saved bool) { batchAVX2 = saved }(batchAVX2)
+	for _, avx := range batchPaths() {
+		batchAVX2 = avx
+		wks := make([]*walk, len(raws))
+		credit, refCredit := make([][]float64, len(raws)), make([][]float64, len(raws))
+		count, refCount := make([][]int64, len(raws)), make([][]int64, len(raws))
+		for i, raw := range raws {
+			wks[i] = newWalk(stats.Normalize(raw), 0)
+			m := len(wks[i].w)
+			credit[i], refCredit[i] = make([]float64, m), make([]float64, m)
+			count[i], refCount[i] = make([]int64, m), make([]int64, m)
+			for j := range credit[i] {
+				credit[i][j], refCredit[i][j] = start, start
+			}
+		}
+		page := 0
+		for _, n := range chunks {
+			stepBatch(wks, credit, count, n)
+			page += n
+			for i, wk := range wks {
+				referenceSteps(wk.w, refCredit[i], refCount[i], n)
+				for j := range credit[i] {
+					if math.Float64bits(credit[i][j]) != math.Float64bits(refCredit[i][j]) {
+						t.Fatalf("%s (AVX2 %v): walk %d after page %d: credit[%d] = %v, reference %v",
+							name, avx, i, page, j, credit[i][j], refCredit[i][j])
+					}
+				}
+				if !slices.Equal(count[i], refCount[i]) {
+					t.Fatalf("%s (AVX2 %v): walk %d after page %d: counts %v, reference %v",
+						name, avx, i, page, count[i], refCount[i])
+				}
+			}
+		}
+	}
+}
+
+// walkBatchInput encodes a FuzzWalkBatch input: the vector count, then
+// each vector as its weight count and its raw weights' little-endian
+// float64 bits, then 16-bit chunk lengths.
+func walkBatchInput(raws [][]float64, chunks ...int) []byte {
+	out := []byte{byte(len(raws) - 1)}
+	for _, raw := range raws {
+		out = append(out, byte(len(raw)-1))
+		for _, w := range raw {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(w))
+		}
+	}
+	for _, n := range chunks {
+		out = binary.LittleEndian.AppendUint16(out, uint16(n))
+	}
+	return out
+}
+
+// FuzzWalkBatch fuzzes stepBatch, the AVX2 kernel and the fallback, against
+// referenceSteps: one to four walks of one to eight arbitrary positive
+// finite weights each, stepped together in arbitrary chunkings of up to
+// three strides and a bit, from credit 0 and from −0.5. The seed corpus
+// batches the weight families TestWalkKernelsMatchScalar pins, alone and
+// mixed, so a plain `go test` runs it; `go test -fuzz FuzzWalkBatch
+// ./internal/mm` explores further.
+func FuzzWalkBatch(f *testing.F) {
+	rng := rand.New(rand.NewSource(11))
+	fams := []string{"equal", "ints", "dominant", "perturbed"}
+	var mixed [][]float64
+	for m := 1; m <= 8; m++ {
+		byFam := walkFamilies(m, rng)
+		var batch [][]float64
+		for _, fam := range fams {
+			batch = append(batch, byFam[fam])
+		}
+		f.Add(walkBatchInput(batch, 1, 7, walkStride, 2*walkStride+9))
+		f.Add(walkBatchInput(batch[:1+m%4], 3, walkStride-3, 1))
+		mixed = append(mixed, byFam[fams[m%4]])
+	}
+	f.Add(walkBatchInput(mixed[4:], 0, 1, 7, walkStride, 2*walkStride+9))
+	f.Add(walkBatchInput([][]float64{mixed[7], mixed[1], mixed[5]}, 5000, 5000))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		raws := make([][]float64, 1+int(data[0])%4)
+		data = data[1:]
+		for i := range raws {
+			if len(data) < 1 {
+				return
+			}
+			m := 1 + int(data[0])%8
+			data = data[1:]
+			if len(data) < 8*m {
+				return
+			}
+			raw := make([]float64, m)
+			sum := 0.0
+			for j := range raw {
+				raw[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*j:]))
+				if !(raw[j] > 0) || math.IsInf(raw[j], 0) {
+					return
+				}
+				sum += raw[j]
+			}
+			if math.IsInf(sum, 0) {
+				return
+			}
+			raws[i] = raw
+			data = data[8*m:]
+		}
+		var chunks []int
+		for total := 0; len(data) >= 2 && total < 3*walkStride+17; data = data[2:] {
+			n := min(int(binary.LittleEndian.Uint16(data)), 3*walkStride+17-total)
+			chunks = append(chunks, n)
+			total += n
+		}
+		for _, start := range []float64{0, -0.5} {
+			checkBatchChunks(t, fmt.Sprintf("weights %v from %v", raws, start), raws, start, chunks)
+		}
+	})
+}
+
 // BenchmarkWalkSteps times one page of the walk over 2, 3, 6, 8 and 12
 // positive weights shaped like the Figure 1b search's vectors (uniform
 // perturbed by ±0.1 steps): the two-, four- and eight-lane kernels and
-// the scalar fallback.
+// the scalar fallback. The batch4 cases step four such walks together
+// through stepBatch (the AVX2 kernel where the CPU has it) and report ns
+// per page of one walk, comparable with the single-walk cases.
 func BenchmarkWalkSteps(b *testing.B) {
 	for _, m := range []int{2, 3, 6, 8, 12} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
@@ -191,6 +327,22 @@ func BenchmarkWalkSteps(b *testing.B) {
 			for b.Loop() {
 				wk.steps(credit, count, walkStride)
 				pages += walkStride
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pages), "ns/page")
+		})
+	}
+	for _, m := range []int{6, 8} {
+		b.Run(fmt.Sprintf("batch4/m=%d", m), func(b *testing.B) {
+			wks := make([]*walk, 4)
+			credit, count := make([][]float64, 4), make([][]int64, 4)
+			for i := range wks {
+				wks[i] = newWalk(walkFamilies(m, rand.New(rand.NewSource(int64(10*m+i))))["perturbed"], 0)
+				credit[i], count[i] = make([]float64, m), make([]int64, m)
+			}
+			pages := 0
+			for b.Loop() {
+				stepBatch(wks, credit, count, walkStride)
+				pages += len(wks) * walkStride
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pages), "ns/page")
 		})

@@ -33,6 +33,67 @@ type sharedWalk struct {
 // NewWalkTable returns an empty table.
 func NewWalkTable() *WalkTable { return &WalkTable{walks: make(map[string]*sharedWalk)} }
 
+// walkKey is a walk's table key: the bits of its positive weights, in
+// node order.
+func walkKey(w []float64) []byte {
+	key := make([]byte, 8*len(w))
+	for i, x := range w {
+		binary.LittleEndian.PutUint64(key[8*i:], math.Float64bits(x))
+	}
+	return key
+}
+
+// Prepare walks, to the last checkpoint of a segment of pages pages, every
+// vector of weights whose positive normalized weights the table lacks, so
+// the binds that follow only copy checkpoints. Vectors of five to eight
+// positive weights walk four at a time (stepBatch, which without AVX2
+// steps each alone); the rest keep their own kernels. Each new walk is
+// entered in the table locked, so a concurrent bind of its vector waits
+// for it instead of walking it again. Vectors a bind would reject are
+// skipped.
+func (t *WalkTable) Prepare(weights [][]float64, pages int) {
+	k := pages / walkStride
+	var batch, single []*sharedWalk
+	t.mu.Lock()
+	for _, raw := range weights {
+		norm, err := normalize(raw)
+		if err != nil {
+			continue
+		}
+		wk := newWalk(norm, pages)
+		key := walkKey(wk.w)
+		if t.walks[string(key)] != nil {
+			continue
+		}
+		e := &sharedWalk{wk: wk}
+		e.mu.Lock()
+		t.walks[string(key)] = e
+		if m := len(wk.w); m >= 5 && m <= 8 {
+			batch = append(batch, e)
+		} else {
+			single = append(single, e)
+		}
+	}
+	t.mu.Unlock()
+	wks := make([]*walk, 0, 4)
+	for len(batch) > 0 {
+		n := min(4, len(batch))
+		wks = wks[:0]
+		for _, e := range batch[:n] {
+			wks = append(wks, e.wk)
+		}
+		checkpointBatch(wks, k)
+		for _, e := range batch[:n] {
+			e.mu.Unlock()
+		}
+		batch = batch[n:]
+	}
+	for _, e := range single {
+		e.wk.checkpoint(k)
+		e.mu.Unlock()
+	}
+}
+
 // fill appends to wk the checkpoints it lacks for a segment of pages pages,
 // copied from the table's walk of the same positive weights, which is
 // extended first when no earlier bind needed that many. The table walk's
@@ -43,10 +104,7 @@ func (t *WalkTable) fill(wk *walk, pages int) {
 	if len(wk.cpCredit) >= need {
 		return
 	}
-	key := make([]byte, 8*len(wk.w))
-	for i, w := range wk.w {
-		binary.LittleEndian.PutUint64(key[8*i:], math.Float64bits(w))
-	}
+	key := walkKey(wk.w)
 	t.mu.Lock()
 	e := t.walks[string(key)]
 	if e == nil {

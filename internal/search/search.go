@@ -58,14 +58,23 @@ func (r *Result) MeanTopK(k int) float64 {
 	return stats.Mean(scores)
 }
 
+// Prepare is told the points a climb is about to evaluate, in evaluation
+// order, before it evaluates any of them: the start alone, then each
+// iteration's neighbours, cut to the remaining budget. An objective can
+// use it to set up work the points share, such as walking their weight
+// vectors together.
+type Prepare func(points [][]float64)
+
 // HillClimbWeights runs steepest-descent hill climbing on the weight
 // simplex: from the current point it evaluates, for every dimension, the
 // neighbours obtained by shifting ±step of mass to/from that dimension
 // (renormalized), moves to the best improving neighbour, and halves the
 // step when stuck, stopping when the evaluation budget is exhausted or the
 // step underflows. This mirrors the paper's offline search: ~180
-// evaluations starting from uniform-workers.
-func HillClimbWeights(eval Eval, start []float64, step float64, budget int) (*Result, error) {
+// evaluations starting from uniform-workers. A non-nil prepare sees every
+// point before it is evaluated; it changes neither the points nor their
+// order.
+func HillClimbWeights(eval Eval, prepare Prepare, start []float64, step float64, budget int) (*Result, error) {
 	if len(start) == 0 {
 		return nil, fmt.Errorf("search: empty start point")
 	}
@@ -84,25 +93,30 @@ func HillClimbWeights(eval Eval, start []float64, step float64, budget int) (*Re
 	}
 
 	cur := stats.Normalize(start)
+	if prepare != nil {
+		prepare([][]float64{cur})
+	}
 	curScore := evalPoint(cur)
 	res.Best = res.History[0]
 
 	for res.Evals < budget && step > 1e-4 {
-		bestNeighbor := []float64(nil)
-		bestScore := curScore
+		var cands [][]float64
 		for dim := range cur {
 			for _, dir := range []float64{+1, -1} {
-				if res.Evals >= budget {
-					break
+				if cand := perturb(cur, dim, dir*step); cand != nil {
+					cands = append(cands, cand)
 				}
-				cand := perturb(cur, dim, dir*step)
-				if cand == nil {
-					continue
-				}
-				s := evalPoint(cand)
-				if s < bestScore {
-					bestScore, bestNeighbor = s, cand
-				}
+			}
+		}
+		cands = cands[:min(len(cands), budget-res.Evals)]
+		if prepare != nil {
+			prepare(cands)
+		}
+		bestNeighbor := []float64(nil)
+		bestScore := curScore
+		for _, cand := range cands {
+			if s := evalPoint(cand); s < bestScore {
+				bestScore, bestNeighbor = s, cand
 			}
 		}
 		if bestNeighbor == nil {
@@ -151,7 +165,7 @@ func HillClimbMulti(eval Eval, starts [][]float64, step float64, budget int) (*R
 	}
 	climbs := make([]*Result, len(starts))
 	for i, start := range starts {
-		r, err := HillClimbWeights(eval, start, step, StartBudget(budget, len(starts)))
+		r, err := HillClimbWeights(eval, nil, start, step, StartBudget(budget, len(starts)))
 		if err != nil {
 			return nil, err
 		}

@@ -22,7 +22,7 @@ func sphere(target []float64) Eval {
 
 func TestHillClimbFindsSimplexOptimum(t *testing.T) {
 	target := []float64{0.5, 0.3, 0.15, 0.05}
-	res, err := HillClimbWeights(sphere(target), Uniform(4), 0.1, 300)
+	res, err := HillClimbWeights(sphere(target), nil, Uniform(4), 0.1, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestHillClimbFindsSimplexOptimum(t *testing.T) {
 }
 
 func TestHillClimbRespectsBudget(t *testing.T) {
-	res, err := HillClimbWeights(sphere([]float64{1, 0, 0}), Uniform(3), 0.1, 25)
+	res, err := HillClimbWeights(sphere([]float64{1, 0, 0}), nil, Uniform(3), 0.1, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestHillClimbRespectsBudget(t *testing.T) {
 }
 
 func TestHillClimbHistoryContainsBest(t *testing.T) {
-	res, err := HillClimbWeights(sphere([]float64{0.7, 0.2, 0.1}), Uniform(3), 0.1, 120)
+	res, err := HillClimbWeights(sphere([]float64{0.7, 0.2, 0.1}), nil, Uniform(3), 0.1, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,16 +64,16 @@ func TestHillClimbHistoryContainsBest(t *testing.T) {
 }
 
 func TestHillClimbErrors(t *testing.T) {
-	if _, err := HillClimbWeights(sphere(nil), nil, 0.1, 10); err == nil {
+	if _, err := HillClimbWeights(sphere(nil), nil, nil, 0.1, 10); err == nil {
 		t.Fatal("empty start accepted")
 	}
-	if _, err := HillClimbWeights(sphere([]float64{1}), []float64{1}, 0, 10); err == nil {
+	if _, err := HillClimbWeights(sphere([]float64{1}), nil, []float64{1}, 0, 10); err == nil {
 		t.Fatal("zero step accepted")
 	}
-	if _, err := HillClimbWeights(sphere([]float64{1}), []float64{1}, 1.5, 10); err == nil {
+	if _, err := HillClimbWeights(sphere([]float64{1}), nil, []float64{1}, 1.5, 10); err == nil {
 		t.Fatal("step >= 1 accepted")
 	}
-	if _, err := HillClimbWeights(sphere([]float64{1}), []float64{1}, 0.1, 0); err == nil {
+	if _, err := HillClimbWeights(sphere([]float64{1}), nil, []float64{1}, 0.1, 0); err == nil {
 		t.Fatal("zero budget accepted")
 	}
 }
@@ -194,7 +194,7 @@ func TestMergeClimbsMatchesHillClimbMulti(t *testing.T) {
 		var history []Candidate
 		evals := 0
 		for i, start := range starts {
-			if climbs[i], err = HillClimbWeights(eval, start, 0.1, StartBudget(budget, len(starts))); err != nil {
+			if climbs[i], err = HillClimbWeights(eval, nil, start, 0.1, StartBudget(budget, len(starts))); err != nil {
 				t.Fatal(err)
 			}
 			history = append(history, climbs[i].History...)
@@ -215,5 +215,94 @@ func TestMergeClimbsMatchesHillClimbMulti(t *testing.T) {
 	})
 	if tie.Best.Weights[0] != 0.5 {
 		t.Fatalf("merge kept %v, want the earliest of the equally good bests", tie.Best)
+	}
+}
+
+// referenceClimb is HillClimbWeights as it was before the prepare hook:
+// each neighbour is built just before it is evaluated, and the budget is
+// checked before each one. It is kept as the hook's reference.
+func referenceClimb(eval Eval, start []float64, step float64, budget int) *Result {
+	res := &Result{}
+	evalPoint := func(w []float64) float64 {
+		score := eval(w)
+		res.History = append(res.History, Candidate{Weights: append([]float64(nil), w...), Score: score})
+		res.Evals++
+		return score
+	}
+	cur := stats.Normalize(start)
+	curScore := evalPoint(cur)
+	res.Best = res.History[0]
+	for res.Evals < budget && step > 1e-4 {
+		bestNeighbor := []float64(nil)
+		bestScore := curScore
+		for dim := range cur {
+			for _, dir := range []float64{+1, -1} {
+				if res.Evals >= budget {
+					break
+				}
+				cand := perturb(cur, dim, dir*step)
+				if cand == nil {
+					continue
+				}
+				if s := evalPoint(cand); s < bestScore {
+					bestScore, bestNeighbor = s, cand
+				}
+			}
+		}
+		if bestNeighbor == nil {
+			step /= 2
+			continue
+		}
+		cur, curScore = bestNeighbor, bestScore
+	}
+	for _, c := range res.History {
+		if c.Score < res.Best.Score {
+			res.Best = c
+		}
+	}
+	return res
+}
+
+// TestHillClimbPrepare pins the prepare hook: with and without it a climb
+// equals referenceClimb, history and best included, at budgets that cut
+// an iteration short and from starts with zero weights (whose neighbours
+// skip infeasible moves); the hook sees every evaluated point once, in
+// evaluation order, before any point of its batch is evaluated.
+func TestHillClimbPrepare(t *testing.T) {
+	target := []float64{0.6, 0.25, 0.1, 0.05}
+	for _, start := range [][]float64{Uniform(4), UniformOver(4, []int{0, 1})} {
+		for _, budget := range []int{1, 2, 9, 37, 120} {
+			want := fmt.Sprintf("%+v", referenceClimb(sphere(target), start, 0.1, budget))
+			plain, err := HillClimbWeights(sphere(target), nil, start, 0.1, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var prepared [][]float64
+			next := 0
+			eval := func(w []float64) float64 {
+				if next >= len(prepared) || fmt.Sprint(prepared[next]) != fmt.Sprint(w) {
+					t.Fatalf("start %v, budget %d: evaluation %d of %v was not prepared next", start, budget, next, w)
+				}
+				next++
+				return sphere(target)(w)
+			}
+			hooked, err := HillClimbWeights(eval, func(points [][]float64) {
+				if next != len(prepared) {
+					t.Fatalf("start %v, budget %d: prepare called with %d prepared points unevaluated", start, budget, len(prepared)-next)
+				}
+				prepared = append(prepared, points...)
+			}, start, 0.1, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, got := range []*Result{plain, hooked} {
+				if g := fmt.Sprintf("%+v", got); g != want {
+					t.Fatalf("start %v, budget %d, hook %v:\n%s\nreference\n%s", start, budget, i == 1, g, want)
+				}
+			}
+			if next != len(prepared) {
+				t.Fatalf("start %v, budget %d: %d points prepared, %d evaluated", start, budget, len(prepared), next)
+			}
+		}
 	}
 }

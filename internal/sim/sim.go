@@ -1171,15 +1171,17 @@ func (e *Engine) appCompletionHorizon(a *App, limit int) int {
 // plus two ticks) that dominates worst-case floating-point accumulation
 // drift for any realistic run length.
 func boundaryTicks(gap, delta float64) int {
+	// never is 2^40 ticks, or the largest int where int has 32 bits.
+	const never = min(1<<40, math.MaxInt)
 	if !(delta > 0) || !(gap > 0) {
-		return 1 << 40 // no progress toward the boundary: never reached
+		return never // no progress toward the boundary: never reached
 	}
 	t := gap/delta*(1-1e-9) - 2
 	if t <= 0 {
 		return 0
 	}
-	if t > 1<<40 {
-		return 1 << 40
+	if t > never {
+		return never
 	}
 	return int(t)
 }
