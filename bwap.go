@@ -263,11 +263,8 @@ type FleetJob = fleet.Job
 // tuning-cache economics.
 type FleetStats = fleet.Stats
 
-// FleetAdmissionPolicy picks a job's worker-node set on the admitting
-// machine; select one by name via FleetConfig.Admission.
-type FleetAdmissionPolicy = fleet.AdmissionPolicy
-
-// Admission policy names for FleetConfig.
+// Admission policy names for FleetConfig.Admission: each picks a job's
+// worker-node set on the admitting machine.
 const (
 	FleetAdmitMostFree      = fleet.AdmitMostFree
 	FleetAdmitBestBandwidth = fleet.AdmitBestBandwidth

@@ -45,16 +45,10 @@ type CanonicalTuner struct {
 	// (default 3 s).
 	ProfileSeconds float64
 
-	// entries caches one profiling result per worker-set key with
-	// single-flight semantics: concurrent first users of the same key share
-	// a run, while distinct keys profile in parallel.
-	entries *cache.Cache[canonicalResult]
-}
-
-// canonicalResult is one worker set's profiling outcome.
-type canonicalResult struct {
-	matrix  [][]float64
-	weights []float64
+	// entries caches one worker set's canonical weights per worker-set key
+	// with single-flight semantics: concurrent first users of the same key
+	// share a profiling run, while distinct keys profile in parallel.
+	entries *cache.Cache[[]float64]
 }
 
 // NewCanonicalTuner returns a tuner for the machine. The simulation
@@ -65,7 +59,7 @@ func NewCanonicalTuner(m *topology.Machine, cfg sim.Config) *CanonicalTuner {
 		m:              m,
 		SimCfg:         cfg,
 		ProfileSeconds: 3,
-		entries:        cache.New[canonicalResult](),
+		entries:        cache.New[[]float64](),
 	}
 }
 
@@ -94,17 +88,9 @@ func (uniformAllPlacer) Place(e *sim.Engine, a *sim.App) error {
 	return nil
 }
 
-// entry returns the worker set's profiling result, computing it at most
-// once via the single-flight cache.
-func (ct *CanonicalTuner) entry(workers []topology.NodeID) (canonicalResult, error) {
-	key := workerKey(workers)
-	res, _, err := ct.entries.Get(key, func() (canonicalResult, error) {
-		return ct.compute(key, workers)
-	})
-	return res, err
-}
-
-func (ct *CanonicalTuner) compute(key string, workers []topology.NodeID) (canonicalResult, error) {
+// compute profiles the worker set and reduces the measured bw(src→dst)
+// matrix to canonical weights.
+func (ct *CanonicalTuner) compute(key string, workers []topology.NodeID) ([]float64, error) {
 	cfg := ct.SimCfg
 	secs := ct.ProfileSeconds
 	if secs <= 0 {
@@ -114,29 +100,12 @@ func (ct *CanonicalTuner) compute(key string, workers []topology.NodeID) (canoni
 	e := sim.New(ct.m, cfg)
 	app, err := e.AddApp("canonical-probe", ProbeSpec(), workers, uniformAllPlacer{})
 	if err != nil {
-		return canonicalResult{}, fmt.Errorf("core: profiling %s: %w", key, err)
+		return nil, fmt.Errorf("core: profiling %s: %w", key, err)
 	}
 	if _, err := e.Run(); err != nil {
-		return canonicalResult{}, fmt.Errorf("core: profiling %s: %w", key, err)
+		return nil, fmt.Errorf("core: profiling %s: %w", key, err)
 	}
-	matrix := app.Counters.BWMatrixGBs()
-	return canonicalResult{
-		matrix:  matrix,
-		weights: WeightsFromMinBW(MinBW(matrix, workers)),
-	}, nil
-}
-
-// Profile runs the profiling benchmark for the worker set and returns the
-// measured bw(src→dst) matrix in GB/s (only worker destinations carry
-// meaning). Results are cached per worker set.
-func (ct *CanonicalTuner) Profile(workers []topology.NodeID) ([][]float64, error) {
-	res, err := ct.entry(workers)
-	return res.matrix, err
-}
-
-// CacheStats reports the profiling cache's cumulative hit and miss counts.
-func (ct *CanonicalTuner) CacheStats() (hits, misses int64) {
-	return ct.entries.Stats()
+	return WeightsFromMinBW(MinBW(app.Counters.BWMatrixGBs(), workers)), nil
 }
 
 // MinBW reduces a profiled matrix to per-source minimum bandwidths over the
@@ -166,24 +135,16 @@ func WeightsFromMinBW(minbw []float64) []float64 {
 }
 
 // Weights returns the canonical weight distribution for the worker set,
-// profiling the machine on first use (Section III-A: the canonical tuner
-// runs offline, at installation time, for the relevant worker sets).
+// profiling the machine at most once per worker set, through the
+// single-flight cache (Section III-A: the canonical tuner runs offline, at
+// installation time, for the relevant worker sets).
 func (ct *CanonicalTuner) Weights(workers []topology.NodeID) ([]float64, error) {
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("core: empty worker set")
 	}
-	res, err := ct.entry(workers)
-	return res.weights, err
-}
-
-// Precompute profiles every worker set in the list — the installation-time
-// step; worker sets that are symmetric images of each other could share an
-// entry, but profiling is cheap in simulation so we keep it direct.
-func (ct *CanonicalTuner) Precompute(sets [][]topology.NodeID) error {
-	for _, ws := range sets {
-		if _, err := ct.Weights(ws); err != nil {
-			return err
-		}
-	}
-	return nil
+	key := workerKey(workers)
+	w, _, err := ct.entries.Get(key, func() ([]float64, error) {
+		return ct.compute(key, workers)
+	})
+	return w, err
 }

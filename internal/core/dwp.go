@@ -373,12 +373,6 @@ func (t *CoScheduledTuner) Tick(e *sim.Engine) {
 	}
 }
 
-// ATrajectory returns the high-priority application's stage-1 stall
-// measurements.
-func (t *CoScheduledTuner) ATrajectory() []Measurement {
-	return append([]Measurement(nil), t.aTrajectory...)
-}
-
 func (t *CoScheduledTuner) applyStep(dwp float64) {
 	t.dwp = stats.Clamp(dwp, 0, 1)
 	w, err := DWPWeights(t.canonical, t.b.Workers, t.dwp)
@@ -396,9 +390,6 @@ func (t *CoScheduledTuner) Finished() bool { return t.stage > 2 }
 
 // AppliedDWP returns the DWP currently in force for B.
 func (t *CoScheduledTuner) AppliedDWP() float64 { return t.dwp }
-
-// Stage1DWP returns the lower bound stage 1 settled on.
-func (t *CoScheduledTuner) Stage1DWP() float64 { return t.stage1DWP }
 
 // BestDWP returns the DWP with the lowest measured B stall rate across
 // both stages; if nothing was measured (B finished first), it returns the

@@ -111,7 +111,3 @@ func (d *PhaseDetector) Observe(now float64) bool {
 
 // Stable reports whether stability has been detected.
 func (d *PhaseDetector) Stable() bool { return !math.IsNaN(d.stableAt) }
-
-// StableAt returns the simulated time at which stability was detected
-// (NaN before that).
-func (d *PhaseDetector) StableAt() float64 { return d.stableAt }

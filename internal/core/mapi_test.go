@@ -78,10 +78,10 @@ func TestPhaseDetectorWaitsOutInitPhase(t *testing.T) {
 	if !det.Stable() {
 		t.Fatal("detector never fired")
 	}
-	if at := det.StableAt(); at < 3.0 {
+	if at := det.stableAt; at < 3.0 {
 		t.Fatalf("detector fired at %v s, inside the init phase (ends at 3.0)", at)
 	}
-	if at := det.StableAt(); at > 6.5 {
+	if at := det.stableAt; at > 6.5 {
 		t.Fatalf("detector too slow: fired at %v s", at)
 	}
 }
@@ -110,7 +110,7 @@ func TestPhaseDetectorStableImmediatelyForSteadyApp(t *testing.T) {
 		t.Fatal("detector never fired on a steady app")
 	}
 	// Three windows of 0.5 s plus slack.
-	if at := det.StableAt(); at > 2.5 {
+	if at := det.stableAt; at > 2.5 {
 		t.Fatalf("steady app detected only at %v s", at)
 	}
 }

@@ -139,14 +139,3 @@ func (f *SpeedupFigure) Render() string {
 	}
 	return b.String()
 }
-
-// MaxSpeedup returns the largest speedup of the given policy across rows.
-func (f *SpeedupFigure) MaxSpeedup(policy string) float64 {
-	best := 0.0
-	for _, r := range f.Rows {
-		if s := r.Speedup[policy]; s > best {
-			best = s
-		}
-	}
-	return best
-}

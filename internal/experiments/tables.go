@@ -63,14 +63,6 @@ func (t *Table1) Render() string {
 	return b.String()
 }
 
-// Table2Cell is one scenario's tuner outcome for one benchmark.
-type Table2Cell struct {
-	// Workers is the worker-node count of the scenario.
-	Workers int
-	// DWP is the value the iterative search settled on (median of seeds).
-	DWP float64
-}
-
 // Table2 reports the DWP values found by the BWAP iterative search in the
 // co-scheduled scenarios (Table II of the paper).
 type Table2 struct {

@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"strings"
@@ -224,5 +226,19 @@ func TestFleetLogRetention(t *testing.T) {
 	}
 	if strings.Count(stream.String(), "\n") != len(fullLines) {
 		t.Fatal("streamed log line count diverged")
+	}
+}
+
+// TestDecodeLogNamesLine: decode errors name the 1-based physical line,
+// blank lines counted, and a scanner error keeps its cause.
+func TestDecodeLogNamesLine(t *testing.T) {
+	_, err := DecodeLog([]byte("{}\n\n{bad\n{}\n"))
+	if err == nil || !strings.Contains(err.Error(), "log line 3:") {
+		t.Fatalf("bad third line after a blank one: %v", err)
+	}
+	long := "{}\n" + strings.Repeat("x", 1<<20+1) + "\n"
+	_, err = DecodeLog([]byte(long))
+	if !errors.Is(err, bufio.ErrTooLong) || !strings.Contains(err.Error(), "log line 2:") {
+		t.Fatalf("over-long second line: %v", err)
 	}
 }

@@ -29,12 +29,14 @@
 package fleet
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"runtime"
+	"slices"
 
 	"bwap/internal/core"
 	"bwap/internal/policy"
@@ -591,14 +593,15 @@ func (f *Fleet) SubmitStream(streams []StreamSpec) error {
 			all = append(all, pending{at: at, class: ci, s: s})
 		}
 	}
-	// Stable merge: arrival time, then class index. Insertion sort keeps
-	// it dependency-free; streams are short relative to simulation work.
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && (all[j].at < all[j-1].at ||
-			(all[j].at == all[j-1].at && all[j].class < all[j-1].class)); j-- {
-			all[j], all[j-1] = all[j-1], all[j]
+	// Stable merge: arrival time, then class index; a class's own times
+	// keep their generated order. Times are finite (Arrival.Times rejects
+	// the rest), so the comparison is a total order.
+	slices.SortStableFunc(all, func(a, b pending) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-	}
+		return cmp.Compare(a.class, b.class)
+	})
 	for _, p := range all {
 		ws := p.s.WorkScale
 		if ws <= 0 {

@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,6 +65,33 @@ func runFleet(t *testing.T, cfg Config, streams []StreamSpec) (*Fleet, *Stats) {
 		t.Fatal(err)
 	}
 	return f, stats
+}
+
+// TestSubmitStreamMergeOrder: the merged stream numbers jobs by arrival
+// time, and classes that share an exact timestamp keep class order.
+func TestSubmitStreamMergeOrder(t *testing.T) {
+	f, err := New(testConfig(PolicyFirstTouch, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := func(ts ...float64) workload.ArrivalSpec {
+		return workload.ArrivalSpec{Process: workload.Trace, Trace: ts}
+	}
+	err = f.SubmitStream([]StreamSpec{
+		{Workload: testSpec("alpha"), Arrival: trace(2, 1, 3, 2), Workers: 1, WorkScale: 0.1},
+		{Workload: testSpec("beta"), Arrival: trace(3, 0.5, 2), Workers: 1, WorkScale: 0.1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, j := range f.Jobs() {
+		got = append(got, fmt.Sprintf("%s@%g", j.Spec.Name, j.Arrival))
+	}
+	want := []string{"beta@0.5", "alpha@1", "alpha@2", "alpha@2", "beta@2", "alpha@3", "beta@3"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("merged order %v, want %v", got, want)
+	}
 }
 
 // TestFleetDeterministicReplay pins the tentpole acceptance criterion:

@@ -103,13 +103,6 @@ func (f *Fleet) Recover(id int) error {
 	return f.recoverMachine(m)
 }
 
-// AddMachine grows the fleet by one machine (topology from
-// Config.NewMachine at the new index) and returns its id.
-func (f *Fleet) AddMachine() (int, error) {
-	id := len(f.machines)
-	return id, f.addMachine()
-}
-
 func (f *Fleet) machineByID(id int) (*machine, error) {
 	if id < 0 || id >= len(f.machines) {
 		return nil, fmt.Errorf("fleet: no machine %d (fleet of %d)", id, len(f.machines))

@@ -136,24 +136,27 @@ func (l *eventLog) Err() error {
 }
 
 // DecodeLog parses a JSONL event log back into records — the replay/verify
-// side of the format.
+// side of the format. Errors name the 1-based physical line, blank lines
+// counted.
 func DecodeLog(data []byte) ([]Record, error) {
 	var out []Record
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	n := 0
 	for sc.Scan() {
+		n++
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("fleet: log line %d: %w", len(out), err)
+			return nil, fmt.Errorf("fleet: log line %d: %w", n, err)
 		}
 		out = append(out, rec)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fleet: log line %d: %w", n+1, err)
 	}
 	return out, nil
 }

@@ -155,17 +155,11 @@ func NewObserver(cfg ObserverConfig) *Observer {
 	return o
 }
 
-// Registry exposes the underlying metric registry (for rendering).
-func (o *Observer) Registry() *obs.Registry { return o.reg }
-
 // Turnaround returns the arrival-to-completion histogram.
 func (o *Observer) Turnaround() *obs.Histogram { return o.turnaround }
 
 // QueueWait returns the admission-wait histogram.
 func (o *Observer) QueueWait() *obs.Histogram { return o.queueWait }
-
-// ProbeLatency returns the tuning-probe sim-time histogram.
-func (o *Observer) ProbeLatency() *obs.Histogram { return o.probeLat }
 
 // CloseSpans terminates the span stream's JSON array (no-op without a
 // span sink). Call it once, after the run.
@@ -176,16 +170,6 @@ func (o *Observer) CloseSpans() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.spans.Close()
-}
-
-// SpanErr reports the first span-sink write error, if any.
-func (o *Observer) SpanErr() error {
-	if o.spans == nil {
-		return nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.spans.Err()
 }
 
 // track returns the job's cursor, or nil for an id the observer never saw
@@ -413,20 +397,6 @@ func (o *Observer) WriteMetrics(w io.Writer) error {
 	return werr
 }
 
-// WriteMetrics renders the Prometheus text exposition: record-driven
-// counters/histograms plus gauges synced from the fleet's current state.
-// Returns ErrNoObserver when the fleet has no telemetry attached. The
-// caller must own the fleet (this is the single-threaded surface; the
-// daemon splits the sync from the render so the exposition write happens
-// off the fleet's lock).
-func (f *Fleet) WriteMetrics(w io.Writer) error {
-	if f.obs == nil {
-		return ErrNoObserver
-	}
-	f.obs.syncGauges(f)
-	return f.obs.WriteMetrics(w)
-}
-
 // Observer returns the attached telemetry observer (nil without one).
 func (f *Fleet) Observer() *Observer { return f.obs }
 
@@ -468,15 +438,4 @@ func (o *Observer) SyncSimTime(f *Fleet) {
 	o.mu.Lock()
 	o.simTime = f.now
 	o.mu.Unlock()
-}
-
-// TimelineSnapshot renders the timeline re-bucketed to the requested
-// window. Returns ErrNoObserver when the fleet has no telemetry. The
-// caller must own the fleet.
-func (f *Fleet) TimelineSnapshot(window float64) (*TimelineSnapshot, error) {
-	if f.obs == nil {
-		return nil, ErrNoObserver
-	}
-	f.obs.SyncSimTime(f)
-	return f.obs.TimelineSnapshot(window), nil
 }

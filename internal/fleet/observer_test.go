@@ -42,22 +42,32 @@ func obsResolve(name string) (workload.Spec, error) {
 	return workload.Spec{}, fmt.Errorf("unknown workload %q", name)
 }
 
+// metricsOf renders /metrics the way its handler does: sync the gauges
+// from the fleet, then render the observer's registry.
 func metricsOf(t *testing.T, f *Fleet) []byte {
 	t.Helper()
+	o := f.Observer()
+	if o == nil {
+		t.Fatal(ErrNoObserver)
+	}
+	o.syncGauges(f)
 	var b bytes.Buffer
-	if err := f.WriteMetrics(&b); err != nil {
+	if err := o.WriteMetrics(&b); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()
 }
 
+// timelineJSON renders /timeline the way its handler does: capture the
+// fleet clock, then snapshot the observer's timeline.
 func timelineJSON(t *testing.T, f *Fleet, window float64) []byte {
 	t.Helper()
-	snap, err := f.TimelineSnapshot(window)
-	if err != nil {
-		t.Fatal(err)
+	o := f.Observer()
+	if o == nil {
+		t.Fatal(ErrNoObserver)
 	}
-	data, err := json.Marshal(snap)
+	o.SyncSimTime(f)
+	data, err := json.Marshal(o.TimelineSnapshot(window))
 	if err != nil {
 		t.Fatal(err)
 	}

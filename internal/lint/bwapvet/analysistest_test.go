@@ -21,6 +21,18 @@ import (
 // reimplemented on the stdlib source importer.
 func runTestdata(t *testing.T, dir, pkgPath string, analyzers ...*Analyzer) {
 	t.Helper()
+	pkg := loadTestdata(t, dir, pkgPath)
+	diags, err := Run(pkg, analyzers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchWants(t, pkg.Fset, pkg.Files, diags)
+}
+
+// loadTestdata parses and typechecks the fixture package at
+// testdata/src/<dir> under the given package path.
+func loadTestdata(t *testing.T, dir, pkgPath string) *Package {
+	t.Helper()
 	base := filepath.Join("testdata", "src", dir)
 	entries, err := os.ReadDir(base)
 	if err != nil {
@@ -46,12 +58,7 @@ func runTestdata(t *testing.T, dir, pkgPath string, analyzers ...*Analyzer) {
 	if err != nil {
 		t.Fatalf("typecheck %s: %v", dir, err)
 	}
-	pkg := &Package{Path: pkgPath, Fset: fset, Files: files, Pkg: tpkg, Info: info}
-	diags, err := Run(pkg, analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matchWants(t, fset, files, diags)
+	return &Package{Path: pkgPath, Fset: fset, Files: files, Pkg: tpkg, Info: info}
 }
 
 // A want is one expectation parsed from a `// want "re"` comment.

@@ -22,7 +22,6 @@
 package memsys
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -101,8 +100,8 @@ func (c Config) Efficiency(k int) float64 {
 	return eff
 }
 
-// System solves flow sets against one machine. It is reusable and
-// goroutine-safe for concurrent Solve calls (all state is per-call).
+// System describes one machine under the contention model. It is
+// immutable; each goroutine solves flow sets on its own Solver.
 type System struct {
 	m   *topology.Machine
 	cfg Config
@@ -112,12 +111,6 @@ type System struct {
 func New(m *topology.Machine, cfg Config) *System {
 	return &System{m: m, cfg: cfg}
 }
-
-// Machine returns the underlying machine description.
-func (s *System) Machine() *topology.Machine { return s.m }
-
-// Config returns the contention model configuration.
-func (s *System) Config() Config { return s.cfg }
 
 // Result reports the outcome of one Solve call.
 type Result struct {
@@ -136,33 +129,11 @@ type Result struct {
 	NodeOutGBs []float64
 }
 
-// TotalRate returns the sum of all achieved flow rates.
-func (r *Result) TotalRate() float64 {
-	total := 0.0
-	for _, v := range r.Rates {
-		total += v
-	}
-	return total
-}
-
 // resource indices within the solver's flat resource table:
 // [0,N)      controllers
 // [N,2N)     ingest caps
 // [2N,2N+L)  links
 func (s *System) resourceCount() int { return 2*s.m.NumNodes() + s.m.NumLinks() }
-
-// Solve computes demand-bounded max-min fair rates for the given flows.
-// Flows with non-positive demand get rate 0. The algorithm is progressive
-// filling: all unfrozen flows grow at the same rate until either a flow's
-// demand is met (it freezes satisfied) or a resource saturates (all flows
-// through it freeze bottlenecked); repeat until every flow is frozen.
-//
-// Each call allocates a fresh Solver, which keeps System goroutine-safe.
-// Callers on a hot loop should hold their own Solver and call its Solve,
-// which reuses all scratch state and allocates nothing at steady state.
-func (s *System) Solve(flows []Flow) *Result {
-	return s.NewSolver().Solve(flows)
-}
 
 // Solver computes max-min fair rates against one System while reusing all
 // intermediate state across calls. It is not safe for concurrent use; give
@@ -273,8 +244,12 @@ func (sv *Solver) Epoch() uint64 { return sv.epoch }
 func (sv *Solver) MemoHits() uint64 { return sv.memoHits }
 
 // Solve computes demand-bounded max-min fair rates for the given flows.
-// The returned Result shares the solver's buffers: it is valid only until
-// the next Solve call on this solver.
+// Flows with non-positive demand get rate 0. The algorithm is progressive
+// filling: all unfrozen flows grow at the same rate until either a flow's
+// demand is met (it freezes satisfied) or a resource saturates (all flows
+// through it freeze bottlenecked); repeat until every flow is frozen. The
+// returned Result shares the solver's buffers: it is valid only until the
+// next Solve call on this solver.
 //
 // A call whose flows equal, field for field (Tag aside), those of one of
 // the last memoSize solves this solver filled copies that solve's outputs
@@ -694,13 +669,9 @@ func zero(s []float64) {
 	}
 }
 
-// PairwiseBW measures the single-stream bandwidth from src to dst — the
-// procedure behind Figure 1a: one saturating flow, nothing else running.
-func (s *System) PairwiseBW(src, dst topology.NodeID) float64 {
-	return pairwiseBW(s.NewSolver(), src, dst)
-}
-
-// pairwiseBW is PairwiseBW on a given solver.
+// pairwiseBW measures the single-stream bandwidth from src to dst on the
+// solver — the procedure behind Figure 1a: one saturating flow, nothing
+// else running.
 func pairwiseBW(sv *Solver, src, dst topology.NodeID) float64 {
 	return sv.Solve([]Flow{{Src: src, Dst: dst, Demand: 1e6}}).Rates[0]
 }
@@ -718,18 +689,4 @@ func (s *System) MeasuredMatrix() [][]float64 {
 		}
 	}
 	return out
-}
-
-// Validate sanity-checks the configuration.
-func (c Config) Validate() error {
-	if c.StreamPenalty < 0 {
-		return fmt.Errorf("memsys: negative stream penalty %v", c.StreamPenalty)
-	}
-	if c.EfficiencyFloor <= 0 || c.EfficiencyFloor > 1 {
-		return fmt.Errorf("memsys: efficiency floor %v out of (0,1]", c.EfficiencyFloor)
-	}
-	if c.WritePenalty < 1 {
-		return fmt.Errorf("memsys: write penalty %v below 1", c.WritePenalty)
-	}
-	return nil
 }

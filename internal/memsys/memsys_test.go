@@ -11,23 +11,27 @@ import (
 
 func sys(m *topology.Machine) *System { return New(m, DefaultConfig()) }
 
-func TestDefaultConfigValid(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
+// Solve computes demand-bounded max-min fair rates for the given flows on
+// a fresh Solver.
+func (s *System) Solve(flows []Flow) *Result {
+	return s.NewSolver().Solve(flows)
 }
 
-func TestConfigValidateRejectsBad(t *testing.T) {
-	bad := []Config{
-		{StreamPenalty: -1, EfficiencyFloor: 0.5, WritePenalty: 1},
-		{StreamPenalty: 0, EfficiencyFloor: 0, WritePenalty: 1},
-		{StreamPenalty: 0, EfficiencyFloor: 1.5, WritePenalty: 1},
-		{StreamPenalty: 0, EfficiencyFloor: 0.5, WritePenalty: 0.5},
+// TotalRate returns the sum of all achieved flow rates.
+func (r *Result) TotalRate() float64 {
+	total := 0.0
+	for _, v := range r.Rates {
+		total += v
 	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("config %d accepted: %+v", i, c)
-		}
+	return total
+}
+
+// TestDefaultConfigValid: the default parameters lie in the ranges the
+// contention model is defined on.
+func TestDefaultConfigValid(t *testing.T) {
+	c := DefaultConfig()
+	if c.StreamPenalty < 0 || c.EfficiencyFloor <= 0 || c.EfficiencyFloor > 1 || c.WritePenalty < 1 {
+		t.Fatalf("default config out of range: %+v", c)
 	}
 }
 
@@ -142,7 +146,7 @@ func TestTrunkCongestion(t *testing.T) {
 func TestAsymmetricPairs(t *testing.T) {
 	// Figure 1a is asymmetric: bw(0->4)=2.8 but bw(4->0)=4.0.
 	s := sys(topology.MachineA())
-	if a, b := s.PairwiseBW(0, 4), s.PairwiseBW(4, 0); math.Abs(a-2.8) > 1e-6 || math.Abs(b-4.0) > 1e-6 {
+	if a, b := pairwiseBW(s.NewSolver(), 0, 4), pairwiseBW(s.NewSolver(), 4, 0); math.Abs(a-2.8) > 1e-6 || math.Abs(b-4.0) > 1e-6 {
 		t.Fatalf("asymmetry lost: bw(0->4)=%v bw(4->0)=%v", a, b)
 	}
 }

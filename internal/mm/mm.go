@@ -115,14 +115,6 @@ func (p pattern) seqIndex(page int) int {
 	return i
 }
 
-// nodeAt returns the node the pattern assigns to page. A weighted pattern
-// seeks its walk to page, so a point query costs at most walkStride steps
-// beyond extending the walk to the checkpoint at or below page.
-func (p pattern) nodeAt(page int) topology.NodeID {
-	c := p.cursorAt(page)
-	return c.next()
-}
-
 // countInto adds sign× the pattern's per-node page counts over [lo,hi)
 // into counts. Seq patterns are counted in O(len(seq)); weighted patterns
 // as the difference of two walk prefixes, prefix(hi) − prefix(lo), each a
@@ -624,9 +616,6 @@ func NewAddressSpace(numNodes int) *AddressSpace {
 	}
 }
 
-// NumNodes returns the node count the address space was built for.
-func (as *AddressSpace) NumNodes() int { return as.numNodes }
-
 // single returns the shared one-node sequence for n.
 func (as *AddressSpace) single(n topology.NodeID) []topology.NodeID {
 	if as.singleSeq == nil {
@@ -708,9 +697,6 @@ func (as *AddressSpace) PlacementEpoch() uint64 { return as.placeEpoch }
 // do not modify it.
 func (as *AddressSpace) Segments() []*Segment { return as.segments }
 
-// Segment returns the named segment, or nil.
-func (as *AddressSpace) Segment(name string) *Segment { return as.byName[name] }
-
 // Distribution returns mapped page counts per node across all segments.
 func (as *AddressSpace) Distribution() []int64 {
 	out := make([]int64, as.numNodes)
@@ -737,9 +723,6 @@ func (as *AddressSpace) DrainMigratedBytes() int64 {
 // Name returns the segment name.
 func (s *Segment) Name() string { return s.name }
 
-// Start returns the segment's base virtual address.
-func (s *Segment) Start() uint64 { return s.start }
-
 // Length returns the segment length in bytes.
 func (s *Segment) Length() uint64 { return uint64(s.pageCount) * PageSize }
 
@@ -751,17 +734,6 @@ func (s *Segment) MappedPages() int { return s.mapped }
 
 // Owner returns SharedOwner or the owning node for private segments.
 func (s *Segment) Owner() topology.NodeID { return s.owner }
-
-// Runs returns the number of placement runs the segment currently holds —
-// an observability hook for fragmentation monitoring.
-func (s *Segment) Runs() int { return len(s.runs) }
-
-// Epoch returns the segment's placement-change counter. It advances on
-// every operation that can alter the page→node assignment (faults, binds,
-// migrations), conservatively including no-op re-binds; it never advances
-// between them, which is what lets the engine reuse a cached flow solve
-// while the epoch stands still.
-func (s *Segment) Epoch() uint64 { return s.epoch }
 
 // touch records a (possible) placement change: the cached fraction view is
 // stale and both the segment's and the address space's epochs advance.
@@ -782,15 +754,6 @@ func (s *Segment) runEnd(j int) int {
 		return s.runs[j+1].start
 	}
 	return s.pageCount
-}
-
-// Node returns the node of page i, or Unmapped. It panics for an
-// out-of-range page, like an indexed per-page array would.
-func (s *Segment) Node(i int) topology.NodeID {
-	if i < 0 || i >= s.pageCount {
-		panic(fmt.Sprintf("mm: %s: page %d out of range [0,%d)", s.name, i, s.pageCount))
-	}
-	return s.runs[s.runIndex(i)].pat.nodeAt(i)
 }
 
 // Counts returns a copy of the per-node page counts.
@@ -884,20 +847,6 @@ func (s *Segment) replaceRange(a, b int, np pattern, move bool) {
 		s.as.migratedBytes += migrated * PageSize
 		s.as.pendingMigrated += migrated * PageSize
 	}
-}
-
-// Fault maps page i onto node n if it is unmapped (first-touch semantics).
-// It reports whether a new mapping was created. It panics for an
-// out-of-range page, like an indexed per-page array would.
-func (s *Segment) Fault(i int, n topology.NodeID) bool {
-	if i < 0 || i >= s.pageCount {
-		panic(fmt.Sprintf("mm: %s: page %d out of range [0,%d)", s.name, i, s.pageCount))
-	}
-	if s.runs[s.runIndex(i)].pat.mapped() {
-		return false
-	}
-	s.replaceRange(i, i+1, pattern{kind: patSeq, origin: i, seq: s.as.single(n)}, false)
-	return true
 }
 
 // FaultAll first-touches every unmapped page of the segment onto node n.

@@ -41,12 +41,6 @@ func AllNodes(n int) Bitmask {
 // Set returns b with node n set.
 func (b Bitmask) Set(n topology.NodeID) Bitmask { return b | 1<<uint(n) }
 
-// Clear returns b with node n cleared.
-func (b Bitmask) Clear(n topology.NodeID) Bitmask { return b &^ (1 << uint(n)) }
-
-// IsSet reports whether node n is set.
-func (b Bitmask) IsSet(n topology.NodeID) bool { return b&(1<<uint(n)) != 0 }
-
 // Count returns the number of set nodes.
 func (b Bitmask) Count() int { return bits.OnesCount64(uint64(b)) }
 
@@ -60,15 +54,6 @@ func (b Bitmask) Nodes() []topology.NodeID {
 	}
 	return out
 }
-
-// Union returns b ∪ o.
-func (b Bitmask) Union(o Bitmask) Bitmask { return b | o }
-
-// Intersect returns b ∩ o.
-func (b Bitmask) Intersect(o Bitmask) Bitmask { return b & o }
-
-// Complement returns the nodes of [0,n) not in b.
-func (b Bitmask) Complement(n int) Bitmask { return AllNodes(n) &^ b }
 
 // String renders the mask in numactl range syntax, e.g. "0-2,5".
 func (b Bitmask) String() string {
@@ -152,38 +137,16 @@ func InterleaveMemory(seg *mm.Segment, mask Bitmask) error {
 	return seg.Mbind(0, seg.Length(), mask.Nodes(), mm.MoveFlag)
 }
 
-// BindMemory applies numa_tonode_memory semantics: bind the whole segment
-// to one node, migrating pages.
-func BindMemory(seg *mm.Segment, node topology.NodeID) error {
-	return seg.Mbind(0, seg.Length(), []topology.NodeID{node}, mm.MoveFlag)
-}
-
-// MbindRange exposes raw mbind over a byte range of a segment with uniform
-// interleaving over the masked nodes — the call Algorithm 1 issues per
-// sub-range.
-func MbindRange(seg *mm.Segment, offset, length uint64, mask Bitmask, flags mm.Flags) error {
-	if mask.Count() == 0 {
-		return fmt.Errorf("numaapi: mbind with empty node mask")
-	}
-	return seg.Mbind(offset, length, mask.Nodes(), flags)
-}
-
 // WeightedInterleaveMemory applies the kernel-level weighted interleave
 // policy the paper adds behind a new system call (Section III-B2).
 func WeightedInterleaveMemory(seg *mm.Segment, weights []float64) error {
 	return seg.MbindWeighted(weights, mm.MoveFlag)
 }
 
-// SortedByWeight returns the masked nodes ordered by ascending weight —
-// the iteration order of Algorithm 1 ("getNodeWithMinWeight"). Ties break
-// by node id for determinism.
-func SortedByWeight(weights []float64, mask Bitmask) []topology.NodeID {
-	return AppendSortedByWeight(make([]topology.NodeID, 0, mask.Count()), weights, mask)
-}
-
-// AppendSortedByWeight appends the masked nodes in SortedByWeight's order
-// onto dst and returns the extended slice — the non-allocating form for
-// callers that own a scratch buffer.
+// AppendSortedByWeight appends the masked nodes ordered by ascending
+// weight onto dst and returns the extended slice — the iteration order of
+// Algorithm 1 ("getNodeWithMinWeight"). Ties break by node id for
+// determinism. It allocates nothing when dst has room.
 func AppendSortedByWeight(dst []topology.NodeID, weights []float64, mask Bitmask) []topology.NodeID {
 	base := len(dst)
 	for v := uint64(mask); v != 0; {

@@ -13,15 +13,14 @@ import (
 
 func TestBitmaskBasics(t *testing.T) {
 	b := NewBitmask(0, 2, 5)
-	if !b.IsSet(0) || !b.IsSet(2) || !b.IsSet(5) || b.IsSet(1) {
+	if b != 1<<0|1<<2|1<<5 {
 		t.Fatalf("membership wrong: %b", b)
 	}
 	if b.Count() != 3 {
 		t.Fatalf("Count = %d, want 3", b.Count())
 	}
-	b = b.Clear(2)
-	if b.IsSet(2) || b.Count() != 2 {
-		t.Fatalf("Clear failed: %b", b)
+	if b.Set(2) != b || b.Set(1).Count() != 4 {
+		t.Fatalf("Set failed: %b", b)
 	}
 }
 
@@ -42,22 +41,11 @@ func TestAllNodesAndComplement(t *testing.T) {
 		t.Fatalf("AllNodes(8).Count = %d", all.Count())
 	}
 	workers := NewBitmask(0, 1)
-	non := workers.Complement(8)
-	if non.Count() != 6 || non.IsSet(0) || non.IsSet(1) {
-		t.Fatalf("Complement wrong: %v", non.Nodes())
+	if non := all &^ workers; non != NewBitmask(2, 3, 4, 5, 6, 7) {
+		t.Fatalf("complement wrong: %v", non.Nodes())
 	}
 	if AllNodes(64).Count() != 64 {
 		t.Fatalf("AllNodes(64) = %d bits", AllNodes(64).Count())
-	}
-}
-
-func TestUnionIntersect(t *testing.T) {
-	a, b := NewBitmask(0, 1), NewBitmask(1, 2)
-	if got := a.Union(b); got.Count() != 3 {
-		t.Fatalf("Union = %v", got.Nodes())
-	}
-	if got := a.Intersect(b); got.Count() != 1 || !got.IsSet(1) {
-		t.Fatalf("Intersect = %v", got.Nodes())
 	}
 }
 
@@ -169,32 +157,6 @@ func TestInterleaveMemory(t *testing.T) {
 	}
 }
 
-func TestBindMemory(t *testing.T) {
-	as := mm.NewAddressSpace(4)
-	seg := as.AddSegment("d", mm.PageSize*8, mm.SharedOwner)
-	seg.FaultAll(0)
-	if err := BindMemory(seg, 3); err != nil {
-		t.Fatal(err)
-	}
-	if seg.Counts()[3] != 8 {
-		t.Fatalf("counts = %v", seg.Counts())
-	}
-}
-
-func TestMbindRange(t *testing.T) {
-	as := mm.NewAddressSpace(4)
-	seg := as.AddSegment("d", mm.PageSize*8, mm.SharedOwner)
-	if err := MbindRange(seg, 0, 4*mm.PageSize, NewBitmask(1), mm.MoveFlag); err != nil {
-		t.Fatal(err)
-	}
-	if seg.Counts()[1] != 4 {
-		t.Fatalf("counts = %v", seg.Counts())
-	}
-	if err := MbindRange(seg, 0, mm.PageSize, NewBitmask(), 0); err == nil {
-		t.Fatal("empty mask accepted")
-	}
-}
-
 func TestWeightedInterleaveMemory(t *testing.T) {
 	as := mm.NewAddressSpace(4)
 	seg := as.AddSegment("d", mm.PageSize*100, mm.SharedOwner)
@@ -209,11 +171,11 @@ func TestWeightedInterleaveMemory(t *testing.T) {
 
 func TestSortedByWeight(t *testing.T) {
 	w := []float64{0.4, 0.1, 0.1, 0.4}
-	got := SortedByWeight(w, NewBitmask(0, 1, 2, 3))
+	got := AppendSortedByWeight(nil, w, NewBitmask(0, 1, 2, 3))
 	want := []topology.NodeID{1, 2, 0, 3} // ties break by id
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("SortedByWeight = %v, want %v", got, want)
+			t.Fatalf("AppendSortedByWeight = %v, want %v", got, want)
 		}
 	}
 }

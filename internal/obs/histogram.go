@@ -32,21 +32,6 @@ func (h *Histogram) Count() uint64 { return h.count }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return h.sum }
 
-// Mean returns the mean observed value (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Bounds returns the finite upper bounds (shared; do not mutate).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
-// BucketCounts returns the per-bucket (non-cumulative) counts, the last
-// entry being the +Inf bucket (shared; do not mutate).
-func (h *Histogram) BucketCounts() []uint64 { return h.counts }
-
 // Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
 // within the bucket containing the rank — the standard Prometheus
 // histogram_quantile estimate. The answer lives in the first non-empty

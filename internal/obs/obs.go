@@ -171,9 +171,6 @@ func (c *Counter) Inc() { c.v++ }
 // the hot path).
 func (c *Counter) Add(d float64) { c.v += d }
 
-// Value returns the current count.
-func (c *Counter) Value() float64 { return c.v }
-
 // Gauge is an instantaneous value. The update path is allocation-free.
 type Gauge struct {
 	v float64
@@ -181,9 +178,3 @@ type Gauge struct {
 
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add adjusts the value by d.
-func (g *Gauge) Add(d float64) { g.v += d }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -94,14 +93,3 @@ func (s *SpanWriter) Close() error {
 	_, s.err = io.WriteString(s.w, "\n]\n")
 	return s.err
 }
-
-// Err returns the first write or encode error.
-func (s *SpanWriter) Err() error {
-	if s.err != nil {
-		return fmt.Errorf("obs: span writer: %w", s.err)
-	}
-	return nil
-}
-
-// Events returns how many events have been written.
-func (s *SpanWriter) Events() int { return s.n }

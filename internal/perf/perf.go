@@ -175,6 +175,3 @@ func (s *Sampler) Restart() {
 	s.samples = s.samples[:0]
 	s.haveStart = false
 }
-
-// PeriodSeconds returns the simulated time one full sampling period takes.
-func (s *Sampler) PeriodSeconds() float64 { return float64(s.N) * s.T }

@@ -169,10 +169,3 @@ func TestSamplerPanicsOnBadParams(t *testing.T) {
 		}()
 	}
 }
-
-func TestPeriodSeconds(t *testing.T) {
-	s := NewSampler(20, 5, 0.2, 0, 1)
-	if got := s.PeriodSeconds(); math.Abs(got-4.0) > 1e-12 {
-		t.Fatalf("PeriodSeconds = %v, want 4", got)
-	}
-}

@@ -12,7 +12,6 @@ import (
 	"bwap/internal/mm"
 	"bwap/internal/numaapi"
 	"bwap/internal/sim"
-	"bwap/internal/topology"
 )
 
 // FirstTouch is the Linux default policy: each page is allocated on the
@@ -201,12 +200,4 @@ func (p *AutoNUMA) Tick(e *sim.Engine) {
 			seg.MigrateToward(target, perSeg) //nolint:errcheck // target sized by construction
 		}
 	}
-}
-
-// WorkerOneHot returns a weight vector that places everything on a single
-// node — a convenience for tests and the DWP=1 extreme.
-func WorkerOneHot(n int, w topology.NodeID) []float64 {
-	out := make([]float64, n)
-	out[w] = 1
-	return out
 }

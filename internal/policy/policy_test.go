@@ -198,10 +198,3 @@ func TestAutoNUMAHandlesMultipleApps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestWorkerOneHot(t *testing.T) {
-	w := policy.WorkerOneHot(4, 2)
-	if w[2] != 1 || w[0] != 0 || len(w) != 4 {
-		t.Fatalf("WorkerOneHot = %v", w)
-	}
-}

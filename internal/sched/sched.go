@@ -104,28 +104,6 @@ func RemainingNodes(m *topology.Machine, workers []topology.NodeID) []topology.N
 	return out
 }
 
-// DistributeThreads spreads t threads across the workers as evenly as
-// possible (the paper's canonical model assumes t is a multiple of the
-// worker count; this handles the general case by giving earlier workers the
-// remainder). The result maps worker position to thread count.
-func DistributeThreads(t int, workers int) ([]int, error) {
-	if workers <= 0 {
-		return nil, fmt.Errorf("sched: no workers")
-	}
-	if t < 0 {
-		return nil, fmt.Errorf("sched: negative thread count %d", t)
-	}
-	out := make([]int, workers)
-	base, rem := t/workers, t%workers
-	for i := range out {
-		out[i] = base
-		if i < rem {
-			out[i]++
-		}
-	}
-	return out, nil
-}
-
 // PinAllCores returns the thread distribution that pins one thread per
 // hardware thread of every worker node — how the paper deploys every
 // benchmark ("we pin each thread to a distinct core").

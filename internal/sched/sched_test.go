@@ -138,30 +138,6 @@ func TestRemainingNodes(t *testing.T) {
 	}
 }
 
-func TestDistributeThreads(t *testing.T) {
-	got, err := DistributeThreads(10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{3, 3, 2, 2}
-	sum := 0
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("DistributeThreads = %v, want %v", got, want)
-		}
-		sum += got[i]
-	}
-	if sum != 10 {
-		t.Fatalf("threads lost: %d", sum)
-	}
-	if _, err := DistributeThreads(4, 0); err == nil {
-		t.Fatal("zero workers accepted")
-	}
-	if _, err := DistributeThreads(-1, 2); err == nil {
-		t.Fatal("negative threads accepted")
-	}
-}
-
 func TestPinAllCores(t *testing.T) {
 	m := topology.MachineB() // 7 cores per node
 	got := PinAllCores(m, []topology.NodeID{0, 2})

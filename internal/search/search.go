@@ -1,11 +1,7 @@
-// Package search provides the optimization loops the paper uses:
-//
-//   - the offline n-dimensional hill climbing over per-node weight
-//     distributions (Section II) that serves as the near-optimal oracle of
-//     Figure 1b, and
-//   - a generic 1-D ascent/descent primitive mirroring the DWP tuner's
-//     fixed-step search (the tuner itself lives in the core package because
-//     it is event-driven, but tests cross-validate it against this).
+// Package search provides the offline n-dimensional hill climbing over
+// per-node weight distributions (Section II) that serves as the
+// near-optimal oracle of Figure 1b. The DWP tuner's fixed-step 1-D search
+// lives in the core package, because it is event-driven.
 //
 // Objective convention: lower is better (execution time, stall rate).
 package search
@@ -195,29 +191,6 @@ func MergeClimbs(climbs []*Result) *Result {
 		}
 	}
 	return merged
-}
-
-// Ascend1D performs the DWP tuner's fixed-step 1-D search in its offline
-// form: starting at x0, step upward by step while the objective keeps
-// improving (strictly decreasing); stop on the first worsening step or at
-// hi. It returns the last improving x, its score, and the number of
-// evaluations. The on-line tuner in package core follows exactly this
-// schedule against sampled stall rates.
-func Ascend1D(eval func(x float64) float64, x0, step, hi float64) (bestX, bestScore float64, evals int) {
-	x := x0
-	best := eval(x)
-	evals = 1
-	bestX = x
-	for x+step <= hi+1e-9 {
-		x = stats.Clamp(x+step, 0, hi)
-		s := eval(x)
-		evals++
-		if s >= best {
-			return bestX, best, evals
-		}
-		best, bestX = s, x
-	}
-	return bestX, best, evals
 }
 
 // Uniform returns the uniform weight vector of length n.

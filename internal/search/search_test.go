@@ -94,35 +94,6 @@ func TestTopKAndMeanTopK(t *testing.T) {
 	}
 }
 
-func TestAscend1DStopsWithinOneStep(t *testing.T) {
-	// Convex objective with minimum at 0.43; fixed-step 0.1 search from 0
-	// must stop at 0.4 or 0.5.
-	obj := func(x float64) float64 { return (x - 0.43) * (x - 0.43) }
-	bestX, _, evals := Ascend1D(obj, 0, 0.1, 1)
-	if math.Abs(bestX-0.4) > 1e-9 {
-		t.Fatalf("bestX = %v, want 0.4", bestX)
-	}
-	if evals < 5 || evals > 7 {
-		t.Fatalf("evals = %d, want ~6", evals)
-	}
-}
-
-func TestAscend1DMonotoneReachesEnd(t *testing.T) {
-	obj := func(x float64) float64 { return -x } // always improving
-	bestX, _, _ := Ascend1D(obj, 0, 0.25, 1)
-	if math.Abs(bestX-1) > 1e-9 {
-		t.Fatalf("bestX = %v, want 1", bestX)
-	}
-}
-
-func TestAscend1DImmediateStop(t *testing.T) {
-	obj := func(x float64) float64 { return x } // any step worsens
-	bestX, _, evals := Ascend1D(obj, 0, 0.1, 1)
-	if bestX != 0 || evals != 2 {
-		t.Fatalf("bestX = %v evals = %d, want 0 after 2 evals", bestX, evals)
-	}
-}
-
 func TestUniformHelpers(t *testing.T) {
 	u := Uniform(4)
 	if math.Abs(stats.Sum(u)-1) > 1e-12 || u[0] != 0.25 {

@@ -184,9 +184,7 @@ type App struct {
 	done         bool
 	finish       float64
 
-	lastStallFrac float64
-	lastAchieved  float64
-	lastDemand    float64
+	lastDemand float64
 
 	// Quiescence bookkeeping, recorded when the engine caches a flow solve:
 	// the placement epoch and phase factors the solve was built from, and
@@ -229,18 +227,6 @@ func (a *App) Progress() float64 {
 	}
 	return total
 }
-
-// WorkerProgress returns the completed work of Workers[i] in GB.
-func (a *App) WorkerProgress(i int) float64 { return a.progressGB[i] }
-
-// StallFraction returns the stall fraction of the most recent tick.
-func (a *App) StallFraction() float64 { return a.lastStallFrac }
-
-// AchievedGBs returns the achieved bandwidth of the most recent tick.
-func (a *App) AchievedGBs() float64 { return a.lastAchieved }
-
-// DemandGBs returns the unthrottled demand of the most recent tick.
-func (a *App) DemandGBs() float64 { return a.lastDemand }
 
 // Placer returns the app's placement policy.
 func (a *App) Placer() Placer { return a.placer }
@@ -492,7 +478,7 @@ func (e *Engine) place() error {
 
 // PlaceApp runs the app's initial placement immediately and validates that
 // every page got mapped. Run calls it for every registered app; callers
-// driving the engine incrementally (Step/AdvanceTo) must call it themselves
+// driving the engine incrementally (AdvanceTo) must call it themselves
 // after AddApp — an unplaced app does not execute. Placing twice is an
 // error.
 func (e *Engine) PlaceApp(a *App) error {
@@ -551,15 +537,9 @@ func (e *Engine) RemoveApp(a *App) error {
 	return nil
 }
 
-// Step advances the simulation by exactly one tick, regardless of
-// completion state — the engine idles fine with zero runnable apps, which
-// is what keeps a fleet of machines advancing in lockstep. Apps must have
-// been placed (PlaceApp); unplaced apps are skipped.
-func (e *Engine) Step() { e.tick() }
-
 // AdvanceTicks advances exactly k ticks, greedily: memoized stretches run
 // through ReplayTicks, and every boundary between them (a phase or init
-// crossing, a completion, a stale solve) takes one full Step before the
+// crossing, a completion, a stale solve) takes one full tick before the
 // replay path is tried again. Byte-identical to k Steps.
 func (e *Engine) AdvanceTicks(k int) {
 	for k > 0 {
@@ -919,8 +899,6 @@ func (e *Engine) advanceApps() bool {
 		if a.lastDemand > 0 {
 			stall = stats.Clamp(1-achEff/a.lastDemand, 0, 1)
 		}
-		a.lastStallFrac = stall
-		a.lastAchieved = achEff
 		a.Counters.Time += dt
 		a.Counters.Cycles += perf.ClockHz * dt
 		a.Counters.StalledCycles += stall * perf.ClockHz * dt
@@ -1017,8 +995,8 @@ const latSnapRel = 0x1p-46
 // detected exactly from the live progress values — and returns the number
 // of ticks advanced. 0 means the engine is not replayable right now
 // (stale solve, hooks registered, an app inside its init burst, or
-// DisableFastForward); callers fall back to Step. Every tick it advances
-// is byte-identical to a full Step.
+// DisableFastForward); callers fall back to full ticks. Every tick it
+// advances is byte-identical to a full one.
 func (e *Engine) ReplayTicks(n int) int {
 	if n <= 0 || !e.ff || len(e.hooks) > 0 || !e.canReplay() {
 		return 0

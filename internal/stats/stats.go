@@ -104,34 +104,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// ArgMin returns the index of the smallest element of xs, or -1 if empty.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMax returns the index of the largest element of xs, or -1 if empty.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // TrimmedMean implements the DWP tuner's outlier filter (Section III-B1):
 // sort the n measurements, discard the first and last c, and average the
 // rest. If trimming would discard everything, the plain mean is returned.
@@ -172,23 +144,6 @@ func AppendNormalized(dst, xs []float64) []float64 {
 	return dst
 }
 
-// GeoMean returns the geometric mean of xs. Non-positive entries make the
-// geometric mean undefined; they are skipped. An empty (or all-skipped)
-// input returns 0.
-func GeoMean(xs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
-
 // Clamp bounds x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {
@@ -206,10 +161,4 @@ func Clamp(x, lo, hi float64) float64 {
 func NewRand(seed uint64) *rand.Rand {
 	//bwap:rand the sanctioned constructor: every stream the suite allows is minted here, seeded by the caller
 	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-}
-
-// Gaussian returns a normally distributed sample with the given mean and
-// standard deviation drawn from r.
-func Gaussian(r *rand.Rand, mean, stddev float64) float64 {
-	return mean + stddev*r.NormFloat64()
 }

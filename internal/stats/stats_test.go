@@ -95,19 +95,6 @@ func TestMaxPanicsOnEmpty(t *testing.T) {
 	Max(nil)
 }
 
-func TestArgMinArgMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if got := ArgMin(xs); got != 1 {
-		t.Fatalf("ArgMin = %v, want 1", got)
-	}
-	if got := ArgMax(xs); got != 2 {
-		t.Fatalf("ArgMax = %v, want 2", got)
-	}
-	if ArgMin(nil) != -1 || ArgMax(nil) != -1 {
-		t.Fatal("ArgMin/ArgMax of empty must be -1")
-	}
-}
-
 func TestTrimmedMean(t *testing.T) {
 	// Paper parameters: n=20 samples, c=5 trimmed from each side.
 	xs := []float64{100, 1, 2, 3, 4, -50} // outliers 100 and -50
@@ -161,18 +148,6 @@ func TestNormalizeProperty(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); !almostEq(got, 2, 1e-12) {
-		t.Fatalf("GeoMean = %v, want 2", got)
-	}
-	if got := GeoMean([]float64{2, 0, 8}); !almostEq(got, 4, 1e-12) {
-		t.Fatalf("GeoMean skip-zero = %v, want 4", got)
-	}
-	if got := GeoMean(nil); got != 0 {
-		t.Fatalf("GeoMean(nil) = %v, want 0", got)
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Fatal("Clamp misbehaved")
@@ -196,21 +171,6 @@ func TestNewRandDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical streams")
-	}
-}
-
-func TestGaussianMoments(t *testing.T) {
-	r := NewRand(7)
-	n := 20000
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = Gaussian(r, 10, 2)
-	}
-	if m := Mean(xs); !almostEq(m, 10, 0.1) {
-		t.Fatalf("Gaussian mean = %v, want ~10", m)
-	}
-	if sd := StdDev(xs); !almostEq(sd, 2, 0.1) {
-		t.Fatalf("Gaussian sd = %v, want ~2", sd)
 	}
 }
 

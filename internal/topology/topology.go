@@ -78,20 +78,8 @@ func (m *Machine) NumLinks() int { return len(m.links) }
 // Node returns the node with the given id.
 func (m *Machine) Node(id NodeID) Node { return m.nodes[id] }
 
-// Nodes returns a copy of the node table.
-func (m *Machine) Nodes() []Node { return append([]Node(nil), m.nodes...) }
-
 // Link returns the link with the given id.
 func (m *Machine) Link(id LinkID) Link { return m.links[id] }
-
-// TotalCores returns the machine-wide hardware thread count (the paper's C×N).
-func (m *Machine) TotalCores() int {
-	total := 0
-	for _, n := range m.nodes {
-		total += n.Cores
-	}
-	return total
-}
 
 // IngestGBs returns the per-node core ingest cap in GB/s.
 func (m *Machine) IngestGBs() float64 { return m.ingestGBs }

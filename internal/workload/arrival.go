@@ -135,16 +135,16 @@ func TraceArrival(times []float64) ArrivalSpec {
 func (a ArrivalSpec) Validate() error {
 	switch a.Process {
 	case Periodic, Poisson:
-		if a.Rate <= 0 {
-			return fmt.Errorf("workload: arrival rate %g must be positive", a.Rate)
+		if !(a.Rate > 0) || math.IsInf(a.Rate, 1) {
+			return fmt.Errorf("workload: arrival rate %g must be positive and finite", a.Rate)
 		}
-		if a.Start < 0 {
-			return fmt.Errorf("workload: negative arrival start %g", a.Start)
+		if !(a.Start >= 0) || math.IsInf(a.Start, 1) {
+			return fmt.Errorf("workload: arrival start %g must be finite and non-negative", a.Start)
 		}
 		if a.Count <= 0 {
 			return fmt.Errorf("workload: arrival count %d must be positive", a.Count)
 		}
-		if a.Jitter < 0 || a.Jitter >= 1 {
+		if !(a.Jitter >= 0 && a.Jitter < 1) {
 			return fmt.Errorf("workload: jitter %g out of [0,1)", a.Jitter)
 		}
 	case Trace:

@@ -79,6 +79,12 @@ func TestArrivalValidate(t *testing.T) {
 		{Process: Periodic, Rate: 1, Count: 0},
 		{Process: Periodic, Rate: 1, Count: 1, Start: -1},
 		{Process: Periodic, Rate: 1, Count: 1, Jitter: 1},
+		// Non-finite parameters would yield non-finite arrival times.
+		{Process: Poisson, Rate: math.NaN(), Count: 1},
+		{Process: Periodic, Rate: math.Inf(1), Count: 1},
+		{Process: Periodic, Rate: 1, Count: 1, Start: math.NaN()},
+		{Process: Poisson, Rate: 1, Count: 1, Start: math.Inf(1)},
+		{Process: Periodic, Rate: 1, Count: 1, Jitter: math.NaN()},
 	}
 	for i, a := range bad {
 		if err := a.Validate(); err == nil {
